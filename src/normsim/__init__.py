@@ -29,7 +29,6 @@ from .chain import (
     sample_trajectory,
     stationary_distribution,
     stationary_linear,
-    strategy_configuration,
 )
 from .design import (
     AbsorbingBounds,
@@ -58,9 +57,9 @@ from .payoff import (
     benefit_profile,
     cost_profile,
     expected_one_period_utility,
+    model_arrays,
     opponent_of,
     prob_reset,
-    prob_reset_under_belief,
 )
 from .sim import (
     ExperimentSpec,
@@ -112,10 +111,10 @@ __all__ = [
     "initial_state",
     "limiting_distribution",
     "load_norm",
+    "model_arrays",
     "norm_from_dict",
     "opponent_of",
     "prob_reset",
-    "prob_reset_under_belief",
     "reputation_update",
     "run_evolution",
     "run_experiment",
@@ -127,7 +126,6 @@ __all__ = [
     "solve_value_iteration",
     "stationary_distribution",
     "stationary_linear",
-    "strategy_configuration",
     "strategy_serves",
     "updated_row",
     "verify_threshold_structure",

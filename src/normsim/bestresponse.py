@@ -19,14 +19,7 @@ import numpy as np
 
 from .beliefs import BeliefMatrix
 from .norms import SocialNorm
-from .payoff import (
-    OpponentConfig,
-    _counts,
-    _phi_matrix,
-    _serve_matrix,
-    benefit_profile,
-    cost_profile,
-)
+from .payoff import OpponentConfig, _serve_matrix, model_arrays
 
 DEFAULT_TOLERANCE = 1e-10
 MAX_ITERATIONS = 10**6
@@ -38,12 +31,14 @@ POLICY_TIE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class BestResponseSolution:
-    """Optimal threshold policy and value function over own reputations."""
+    """Optimal policy and value function over own reputations."""
 
-    policy: np.ndarray  # service threshold per reputation, in {0, ..., L+1}
+    policy: np.ndarray  # action per reputation: its threshold, or its row in serve
     values: np.ndarray  # long-term utility per reputation
     iterations: int
     residual: float
+    q: np.ndarray  # action values [rep, action] at the final sweep
+    serve: np.ndarray  # serve indicator vector of each action
 
 
 @dataclass(frozen=True)
@@ -58,29 +53,6 @@ class ClosedFormSolution:
     k: int
     good_action: int
     values: np.ndarray
-
-
-def _model_arrays(
-    norm: SocialNorm,
-    eta: OpponentConfig,
-    serve: np.ndarray,
-    *,
-    b: float | None = None,
-    epsilon: float | None = None,
-    beliefs: BeliefMatrix | None = None,
-):
-    """Reward matrix R[rep, action] and reset matrix P0[rep, action]."""
-    p = norm.params
-    eps = p.epsilon if epsilon is None else epsilon
-    m = _counts(norm, eta)
-    frac = m / (p.N - 1)
-    benefit = benefit_profile(norm, eta, b=b, epsilon=eps, beliefs=beliefs)
-    cost = (p.c / (p.N - 1)) * (serve.astype(float) @ m)
-    phi = _phi_matrix(p.L, norm.h)
-    mismatch = (serve[None, :, :] != phi[:, None, :]).astype(float) @ frac
-    reset = eps + (1.0 - 2.0 * eps) * mismatch
-    reward = benefit[:, None] - cost[None, :]
-    return reward, reset
 
 
 def _tie_break_argmax(
@@ -150,9 +122,16 @@ def solve_value_iteration(
     p = norm.params
     dlt = p.delta if delta is None else delta
     serve, prefer = _resolve_actions(norm, action_space)
-    reward, reset = _model_arrays(
-        norm, eta, serve, b=b, epsilon=epsilon, beliefs=beliefs
+    benefit, cost, reset = model_arrays(
+        norm,
+        [eta.counts],
+        serve=serve,
+        epsilon=epsilon,
+        bs=b,
+        belief_rows=None if beliefs is None else beliefs.rows[None],
     )
+    reward = benefit[0][:, None] - cost[0][None, :]
+    reset = reset[0]
     up = np.minimum(np.arange(p.L + 1) + 1, p.L)
     stop = tolerance * (1.0 - dlt) / dlt if dlt > 0 else 0.0
 
@@ -174,17 +153,14 @@ def solve_value_iteration(
             f"(residual {residual:.3e}); this indicates a bug for delta < 1"
         )
 
-    action_idx = _tie_break_argmax(q, prefer, rng=coin_rng)
-    if isinstance(action_space, str) and action_space == "threshold":
-        policy = action_idx  # threshold actions are indexed by their threshold
-    else:
-        policy = action_idx  # indices into the serve matrix
-    sol = BestResponseSolution(
-        policy=policy, values=values, iterations=iterations, residual=residual
+    return BestResponseSolution(
+        policy=_tie_break_argmax(q, prefer, rng=coin_rng),
+        values=values,
+        iterations=iterations,
+        residual=residual,
+        q=q,
+        serve=serve,
     )
-    object.__setattr__(sol, "serve", serve)
-    object.__setattr__(sol, "q", q)
-    return sol
 
 
 def bimodal_opponent(norm: SocialNorm, n0: int, nL: int, own_rep: int) -> OpponentConfig:
@@ -295,47 +271,32 @@ def solve_policy_batch(
     etas: np.ndarray,
     deltas: np.ndarray,
     *,
-    benefits: np.ndarray | None = None,
+    belief_rows: np.ndarray | None = None,
     bs: np.ndarray | None = None,
     epsilon: float | None = None,
     max_rounds: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact best responses for a batch of users sharing the threshold MDP shape.
 
-    etas      (K, L+1) opponent censuses (rows sum to N-1)
-    deltas    (K,) personal discount factors
-    benefits  optional (K, L+1) precomputed expected-benefit rows (overrides
-              the baseline belief; used for adaptive-belief users)
-    bs        optional (K,) per-user benefit values for the baseline belief
+    etas         (K, L+1) opponent censuses (rows sum to N-1)
+    deltas       (K,) personal discount factors
+    belief_rows  optional (K, L+1, L+2) belief matrices of adaptive users
+                 (the baseline belief otherwise)
+    bs           optional (K,) per-user benefit values
 
     Returns (policies, values), each (K, L+1).  Uses policy iteration with
     exact evaluation; the fixed point and tie-breaking match
-    ``solve_value_iteration`` on threshold actions.
+    ``solve_value_iteration`` on threshold actions.  Raises RuntimeError if
+    the policies have not settled within ``max_rounds`` rounds.
     """
-    p = norm.params
-    L, h = p.L, norm.h
-    eps = p.epsilon if epsilon is None else epsilon
+    L = norm.params.L
     etas = np.asarray(etas, dtype=float)
     K = etas.shape[0]
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (K,))
-    frac = etas / (p.N - 1)
-
-    serve = _serve_matrix(L).astype(float)
-    phi = _phi_matrix(L, h).astype(float)
-    cost = (p.c / (p.N - 1)) * (etas @ serve.T)  # (K, L+2)
-    if benefits is None:
-        comply = np.full(L + 1, 1.0 - eps)
-        comply[0] = eps
-        serve_prob = comply[:, None] * phi  # (opp rep, own rep)
-        benefits = frac @ serve_prob  # (K, L+1), per unit of b
-        b_vec = np.full(K, p.b) if bs is None else np.asarray(bs, dtype=float)
-        benefits = benefits * b_vec[:, None]
-    else:
-        benefits = np.asarray(benefits, dtype=float)
-
-    mism = (serve[None, :, :] != phi[:, None, :]).astype(float)  # (own, a, opp)
-    reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
-    reward = benefits[:, :, None] - cost[:, None, :]  # (K, own, a)
+    benefit, cost, reset = model_arrays(
+        norm, etas, epsilon=epsilon, bs=bs, belief_rows=belief_rows
+    )
+    reward = benefit[:, :, None] - cost[:, None, :]  # (K, own, a)
     up = np.minimum(np.arange(L + 1) + 1, L)
 
     S = L + 1
@@ -367,4 +328,8 @@ def solve_policy_batch(
             break
         prev_values = values
         policies = new_policies
+    else:
+        raise RuntimeError(
+            f"policy iteration did not settle within {max_rounds} rounds"
+        )
     return policies, values

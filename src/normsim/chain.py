@@ -18,9 +18,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .bestresponse import solve_policy_batch, solve_value_iteration
+from .bestresponse import solve_policy_batch
 from .norms import SocialNorm
-from .payoff import Configuration, opponent_of, reset_profile
+from .payoff import Configuration, model_arrays
 
 DEFAULT_SPACE_CAP = 10**5
 DEFAULT_EPS_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -114,69 +114,36 @@ def enumerate_configs(N: int, L: int, cap: int = DEFAULT_SPACE_CAP) -> ConfigSpa
     return ConfigSpace(N=N, L=L, configs=configs, index=index)
 
 
-_STRATEGY_CACHE: dict = {}
-
-
-def strategy_configuration(
-    norm: SocialNorm, mu: Configuration, *, epsilon: float | None = None
-) -> np.ndarray:
-    """Best-response service threshold for each reputation under census ``mu``.
-
-    Occupied reputations are solved exactly against the census with the user
-    itself removed; unoccupied reputations get the socially prescribed
-    threshold (they never matter for transitions).
-    """
-    p = norm.params
-    eps = p.epsilon if epsilon is None else epsilon
-    key = (p, norm.h, eps, mu.counts)
-    hit = _STRATEGY_CACHE.get(key)
-    if hit is not None:
-        return hit.copy()
-    policy = np.empty(p.L + 1, dtype=np.int64)
-    for rep in range(p.L + 1):
-        if mu.counts[rep] > 0:
-            sol = solve_value_iteration(norm, opponent_of(mu, rep), epsilon=eps)
-            policy[rep] = sol.policy[rep]
-        else:
-            policy[rep] = norm.compliant_threshold(rep)
-    _STRATEGY_CACHE[key] = policy
-    return policy.copy()
-
-
 def _batch_policies(
     norm: SocialNorm, space: ConfigSpace, eps: float
-) -> np.ndarray:
-    """Best-response thresholds for every (census, occupied reputation) pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-response thresholds and their reset probabilities for every
+    (census, occupied reputation) pair.
 
-    Returns an array of shape (|space|, L+1); unoccupied entries hold the
-    socially prescribed threshold.  All pairs are solved in one batched
-    policy-iteration call, which matches the scalar solver exactly.
+    Each user is solved against its census with itself removed.  Returns two
+    arrays of shape (|space|, L+1): the threshold played and the probability
+    that playing it resets the user.  Unoccupied entries hold the socially
+    prescribed threshold and a reset probability of 0; they never matter for
+    transitions.  All pairs are solved in one batched policy-iteration call,
+    which matches the scalar solver exactly.
     """
-    p = norm.params
-    L = p.L
-    pairs = []  # (config index, reputation)
-    etas = []
-    for i, mu in enumerate(space.configs):
-        for rep in range(L + 1):
-            if mu.counts[rep] > 0:
-                pairs.append((i, rep))
-                eta = list(mu.counts)
-                eta[rep] -= 1
-                etas.append(eta)
-    out = np.array(
-        [[norm.compliant_threshold(rep) for rep in range(L + 1)]] * len(space),
-        dtype=np.int64,
+    L = norm.params.L
+    counts = np.array([mu.counts for mu in space.configs], dtype=float)
+    cfg, rep = np.nonzero(counts)
+    pair = np.arange(cfg.size)
+    etas = counts[cfg]
+    etas[pair, rep] -= 1.0
+    solved, _ = solve_policy_batch(
+        norm, etas, np.full(cfg.size, norm.params.delta), epsilon=eps
     )
-    if pairs:
-        policies, _ = solve_policy_batch(
-            norm,
-            np.asarray(etas, dtype=float),
-            np.full(len(pairs), p.delta),
-            epsilon=eps,
-        )
-        for row, (i, rep) in enumerate(pairs):
-            out[i, rep] = policies[row, rep]
-    return out
+    played = solved[pair, rep]
+    _, _, reset = model_arrays(norm, etas, epsilon=eps)
+    compliant = [norm.compliant_threshold(r) for r in range(L + 1)]
+    policies = np.tile(compliant, (len(space), 1))
+    policies[cfg, rep] = played
+    resets = np.zeros((len(space), L + 1))
+    resets[cfg, rep] = reset[pair, rep, played]
+    return policies, resets
 
 
 def build_transition_matrix(
@@ -197,7 +164,7 @@ def build_transition_matrix(
     eps = p.epsilon if epsilon is None else epsilon
     L = p.L
     size = len(space)
-    policies = _batch_policies(norm, space, eps)
+    policies, resets = _batch_policies(norm, space, eps)
     P = np.zeros((size, size))
     zero = (0,) * (L + 1)
     for i, mu in enumerate(space.configs):
@@ -206,8 +173,7 @@ def build_transition_matrix(
             n = mu.counts[rep]
             if n == 0:
                 continue
-            eta = opponent_of(mu, rep)
-            q = float(reset_profile(norm, eta, epsilon=eps)[rep, policies[i, rep]])
+            q = float(resets[i, rep])
             dest = min(L, rep + 1)
             pmf = [math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)]
             nxt: dict[tuple[int, ...], float] = {}

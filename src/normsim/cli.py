@@ -33,7 +33,7 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"grid must look like start:stop:step, got {text!r}") from exc
-    if step <= 0 or stop < start:
+    if not all(map(np.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ConfigError(f"bad grid bounds in {text!r}")
     return [float(v) for v in np.arange(start, stop + step / 2, step)]
 

@@ -16,21 +16,9 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .norms import CommunityParams, SocialNorm
-
-
-def worker_count() -> int:
-    """Worker parallelism cap, from NORMSIM_THREADS (default 1)."""
-    value = os.environ.get("NORMSIM_THREADS", "1")
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise ValueError(f"NORMSIM_THREADS must be an integer, got {value!r}") from exc
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -137,16 +125,6 @@ def evaluate_design(
     )
 
 
-def _grid_cell(args):
-    delta, cb, L = args
-    params = CommunityParams(N=2, L=L, b=1.0, c=cb, delta=delta)
-    H = solve_H(params)
-    feasible = [
-        h for h in range(1, L + 1) if feasibility_test(params, h)
-    ]
-    return delta, cb, H, (max(feasible) if feasible else None)
-
-
 def feasible_region_grid(
     delta_grid, cb_grid, L: int
 ) -> list[tuple[float, float, float | None, int | None]]:
@@ -155,19 +133,20 @@ def feasible_region_grid(
     Returns rows (delta, c_over_b, H, max_feasible_h); H and max_feasible_h
     are None where no threshold can enforce full cooperation.
     """
-    cells = [(float(d), float(cb), L) for d in delta_grid for cb in cb_grid]
+    cells = [(float(d), float(cb)) for d in delta_grid for cb in cb_grid]
     if not cells:
         raise ValueError("grids must be nonempty")
-    for d, cb, _ in cells:
+    for d, cb in cells:
         if not 0 <= d < 1:
             raise ValueError(f"delta {d} outside [0, 1)")
         if not 0 < cb < 1:
             raise ValueError(f"c/b {cb} outside (0, 1)")
-    workers = worker_count()
-    if workers > 1 and len(cells) > 64:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_grid_cell, cells, chunksize=32))
-    return [_grid_cell(cell) for cell in cells]
+    rows = []
+    for delta, cb in cells:
+        params = CommunityParams(N=2, L=L, b=1.0, c=cb, delta=delta)
+        feasible = [h for h in range(1, L + 1) if feasibility_test(params, h)]
+        rows.append((delta, cb, solve_H(params), max(feasible) if feasible else None))
+    return rows
 
 
 def write_region_csv(rows, target) -> None:

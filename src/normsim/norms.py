@@ -9,12 +9,26 @@ value object or a pure function and can be shared freely across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Raised for invalid protocol parameters or malformed config documents."""
+
+
+def config_number(value, name: str, kind=float):
+    """Convert a config value with ``kind``; malformed, non-finite or (for
+    ``int``) fractional values raise ConfigError."""
+    message = f"{name} must be a finite {kind.__name__}, got {value!r}"
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(message) from exc
+    if not math.isfinite(number) or (isinstance(value, float) and value != number):
+        raise ConfigError(message)
+    return number
 
 
 @dataclass(frozen=True)
@@ -45,8 +59,10 @@ class CommunityParams:
             raise ConfigError(f"L must be >= 1, got {self.L}")
         if not self.c > 0:
             raise ConfigError(f"c must be > 0, got {self.c}")
-        if not self.b > self.c:
-            raise ConfigError(f"b must exceed c, got b={self.b}, c={self.c}")
+        if not self.c < self.b < math.inf:
+            raise ConfigError(
+                f"b must be finite and exceed c, got b={self.b}, c={self.c}"
+            )
         if not 0.0 <= self.delta < 1.0:
             raise ConfigError(f"delta must be in [0, 1), got {self.delta}")
         if not 0.0 <= self.epsilon < 0.5:
@@ -159,15 +175,15 @@ def norm_from_dict(doc: dict) -> SocialNorm:
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     params = CommunityParams(
-        N=int(doc["N"]),
-        L=int(doc["L"]),
-        b=float(doc["b"]),
-        c=float(doc["c"]),
-        delta=float(doc["delta"]),
-        epsilon=float(doc.get("epsilon", 0.0)),
-        gamma=float(doc.get("gamma", 1.0)),
+        N=config_number(doc["N"], "N", int),
+        L=config_number(doc["L"], "L", int),
+        b=config_number(doc["b"], "b"),
+        c=config_number(doc["c"], "c"),
+        delta=config_number(doc["delta"], "delta"),
+        epsilon=config_number(doc.get("epsilon", 0.0), "epsilon"),
+        gamma=config_number(doc.get("gamma", 1.0), "gamma"),
     )
-    return SocialNorm(params=params, h=int(doc["h"]))
+    return SocialNorm(params=params, h=config_number(doc["h"], "h", int))
 
 
 def load_norm(path: str | Path) -> SocialNorm:

@@ -1,14 +1,15 @@
 """Expected one-period utilities and reputation-transition probabilities.
 
-All quantities here are computed for a single user against a fixed census of
+All quantities here are one user's expectations against a fixed census of
 opponents.  Under the baseline belief model, an opponent of positive
 reputation complies with the social rule with probability 1 - epsilon and
 serves no one otherwise, while an opponent of reputation 0 serves no one
 with probability 1 - epsilon and complies otherwise.
 
-The profile helpers return vectors/matrices indexed by the user's own
-reputation (0..L) and its candidate service threshold (0..L+1); they are the
-building blocks of the best-response solver.
+``model_arrays`` builds the expected benefit, cost and reset probability
+for a batch of users, each against its own opponent census; every solver
+uses it.  The profile helpers are its single-user views, indexed by the
+user's own reputation (0..L) and its candidate service threshold (0..L+1).
 """
 
 from __future__ import annotations
@@ -88,17 +89,65 @@ def _serve_matrix(L: int) -> np.ndarray:
     return (rep >= a).astype(np.int8)
 
 
-def _counts(norm: SocialNorm, eta: OpponentConfig) -> np.ndarray:
-    m = np.asarray(eta.counts, dtype=float)
-    if m.shape != (norm.params.L + 1,):
+def model_arrays(
+    norm: SocialNorm,
+    etas,
+    *,
+    serve: np.ndarray | None = None,
+    epsilon: float | None = None,
+    bs=None,
+    belief_rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected benefit, cost and reset probability for a batch of users.
+
+    etas         (K, L+1) opponent censuses, each summing to N-1
+    serve        (A, L+1) serve indicators of the candidate actions; default
+                 the L+2 threshold actions 0..L+1
+    epsilon      report error rate; default the norm's
+    bs           per-user benefit values, (K,) or a scalar; default the norm's b
+    belief_rows  (K, L+1, L+2) belief matrices over opponents' thresholds;
+                 default the baseline belief
+
+    Returns benefit (K, L+1) indexed by own reputation, cost (K, A) indexed
+    by action, and reset (K, L+1, A) indexed by own reputation and action.
+    Every solver and every profile helper takes the model from here.
+    """
+    p = norm.params
+    L = p.L
+    eps = p.epsilon if epsilon is None else epsilon
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim != 2 or etas.shape[1] != L + 1:
         raise ValueError(
-            f"opponent census has {m.shape[0]} buckets, expected {norm.params.L + 1}"
+            f"opponent censuses must have shape (K, {L + 1}), got {etas.shape}"
         )
-    if eta.total != norm.params.N - 1:
-        raise ValueError(
-            f"opponent census sums to {eta.total}, expected N-1={norm.params.N - 1}"
-        )
-    return m
+    if (etas.sum(axis=1) != p.N - 1).any():
+        raise ValueError(f"every opponent census must sum to N-1={p.N - 1}")
+    frac = etas / (p.N - 1)
+    thresholds = _serve_matrix(L).astype(float)
+    serve = thresholds if serve is None else np.asarray(serve, dtype=float)
+    phi = _phi_matrix(L, norm.h).astype(float)
+    b = np.broadcast_to(
+        np.asarray(p.b if bs is None else bs, dtype=float), etas.shape[:1]
+    )
+
+    if belief_rows is None:
+        comply = np.full(L + 1, 1.0 - eps)
+        comply[0] = eps  # reputation-0 opponents rarely comply
+        benefit = (frac @ (comply[:, None] * phi)) * b[:, None]
+    else:
+        # serve_prob[k, r, theta] = P(server of rep r serves a client of rep
+        # theta) under user k's beliefs
+        serve_prob = np.asarray(belief_rows, dtype=float) @ thresholds
+        benefit = np.einsum("kr,krs->ks", etas, serve_prob) * b[:, None] / (p.N - 1)
+    cost = (p.c / (p.N - 1)) * (etas @ serve.T)
+    # A matched client's report punishes the server whenever the realized
+    # contribution disagrees with the social rule and the report is correct,
+    # or agrees and the report is flipped.  mism[theta, a, r] marks action a
+    # deviating from the rule for a server of reputation theta and a client
+    # of reputation r.
+    mism = (serve[None, :, :] != phi[:, None, :]).astype(float)
+    reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
+    return benefit, cost, reset
 
 
 def benefit_profile(
@@ -115,48 +164,23 @@ def benefit_profile(
     reputation r is the belief-mixture sum of O[r, l] over thresholds l at or
     below the user's own reputation; otherwise the baseline belief applies.
     """
-    p = norm.params
-    m = _counts(norm, eta)
-    b = p.b if b is None else b
-    eps = p.epsilon if epsilon is None else epsilon
-    if beliefs is not None:
-        # serve_prob[r, theta] = P(server of rep r serves a client of rep theta)
-        serve_prob = beliefs.rows @ _serve_matrix(p.L).astype(float)
-    else:
-        phi = _phi_matrix(p.L, norm.h).astype(float)
-        comply = np.full(p.L + 1, 1.0 - eps)
-        comply[0] = eps  # reputation-0 opponents rarely comply
-        serve_prob = comply[:, None] * phi
-    return (b / (p.N - 1)) * (m @ serve_prob)
+    rows = None if beliefs is None else beliefs.rows[None]
+    benefit, _, _ = model_arrays(
+        norm, [eta.counts], bs=b, epsilon=epsilon, belief_rows=rows
+    )
+    return benefit[0]
 
 
 def cost_profile(norm: SocialNorm, eta: OpponentConfig) -> np.ndarray:
     """Expected per-period cost for each own service threshold 0..L+1."""
-    p = norm.params
-    m = _counts(norm, eta)
-    return (p.c / (p.N - 1)) * (_serve_matrix(p.L) @ m)
+    return model_arrays(norm, [eta.counts])[1][0]
 
 
 def reset_profile(
     norm: SocialNorm, eta: OpponentConfig, *, epsilon: float | None = None
 ) -> np.ndarray:
-    """Probability of a reputation reset, indexed [own_rep, action_threshold].
-
-    A randomly matched client's report punishes the server whenever the
-    realized contribution disagrees with the social rule and the report is
-    correct, or agrees and the report is flipped.
-    """
-    p = norm.params
-    m = _counts(norm, eta)
-    eps = p.epsilon if epsilon is None else epsilon
-    phi = _phi_matrix(p.L, norm.h)
-    serve = _serve_matrix(p.L)
-    # mismatch[theta, a] = expected fraction of clients on which action a
-    # deviates from the rule prescribed for a server of reputation theta
-    mism = (serve[None, :, :] != phi[:, None, :]).astype(float)
-    frac = m / (p.N - 1)
-    mismatch = mism @ frac
-    return eps + (1.0 - 2.0 * eps) * mismatch
+    """Probability of a reputation reset, indexed [own_rep, action_threshold]."""
+    return model_arrays(norm, [eta.counts], epsilon=epsilon)[2][0]
 
 
 def expected_one_period_utility(
@@ -189,26 +213,3 @@ def prob_reset(
     if not 0 <= action.threshold <= L + 1:
         raise ValueError(f"threshold {action.threshold} outside {{0, ..., {L + 1}}}")
     return float(reset_profile(norm, eta)[own_rep, action.threshold])
-
-
-def prob_reset_under_belief(
-    norm: SocialNorm,
-    own_rep: int,
-    eta: OpponentConfig,
-    action: ThresholdStrategy,
-    beliefs: BeliefMatrix,
-) -> float:
-    """Reset probability when the user holds an explicit belief matrix.
-
-    Beliefs only reshape the benefit expectation; the reset probability
-    depends on the user's own action versus the social rule, so it is the
-    same as under the baseline belief.  The belief matrix is still validated
-    here so malformed beliefs fail fast.
-    """
-    if not isinstance(beliefs, BeliefMatrix):
-        beliefs = BeliefMatrix(rows=np.asarray(beliefs))
-    if beliefs.rows.shape != (norm.params.L + 1, norm.params.L + 2):
-        raise ValueError(
-            f"belief matrix shape {beliefs.rows.shape} does not match L={norm.params.L}"
-        )
-    return prob_reset(norm, own_rep, eta, action)

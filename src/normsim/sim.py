@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .bestresponse import solve_policy_batch
-from .norms import CommunityParams, ConfigError, SocialNorm
-from .payoff import Configuration, _phi_matrix, _serve_matrix
+from .norms import CommunityParams, ConfigError, SocialNorm, config_number
+from .payoff import Configuration, _phi_matrix
 
 SCHEMA_VERSION = 1
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
@@ -62,13 +62,13 @@ class ExperimentSpec:
         if missing:
             raise ConfigError(f"missing experiment keys: {sorted(missing)}")
         params = CommunityParams(
-            N=int(doc["N"]),
-            L=int(doc["L"]),
-            b=float(doc["b"]),
-            c=float(doc["c"]),
-            delta=float(doc.get("delta", 0.5)),
-            epsilon=float(doc.get("epsilon", 0.0)),
-            gamma=float(doc.get("gamma", 1.0)),
+            N=config_number(doc["N"], "N", int),
+            L=config_number(doc["L"], "L", int),
+            b=config_number(doc["b"], "b"),
+            c=config_number(doc["c"], "c"),
+            delta=config_number(doc.get("delta", 0.5), "delta"),
+            epsilon=config_number(doc.get("epsilon", 0.0), "epsilon"),
+            gamma=config_number(doc.get("gamma", 1.0), "gamma"),
         )
         init = doc.get("initial_reputation", "uniform")
         if init not in ("uniform", "zeros"):
@@ -78,9 +78,14 @@ class ExperimentSpec:
         groups = None
         if mode == "mixed":
             raw = doc.get("groups")
-            if not raw:
-                raise ConfigError("mixed mode requires a nonempty 'groups' list")
-            groups = tuple((int(g["size"]), float(g["delta"])) for g in raw)
+            if not (raw and isinstance(raw, list)
+                    and all(isinstance(g, dict) for g in raw)):
+                raise ConfigError("mixed mode requires a nonempty 'groups' list of objects")
+            groups = tuple(
+                (config_number(g.get("size"), "group size", int),
+                 config_number(g.get("delta"), "group delta"))
+                for g in raw
+            )
             for size, delta in groups:
                 if size < 1:
                     raise ConfigError("group sizes must be positive")
@@ -94,7 +99,8 @@ class ExperimentSpec:
         if mode == "varying-b":
             if "b_mean" not in doc or "b_var" not in doc:
                 raise ConfigError("varying-b mode requires 'b_mean' and 'b_var'")
-            b_mean, b_var = float(doc["b_mean"]), float(doc["b_var"])
+            b_mean = config_number(doc["b_mean"], "b_mean")
+            b_var = config_number(doc["b_var"], "b_var")
             if b_var < 0:
                 raise ConfigError("b_var must be nonnegative")
         elif "b_mean" in doc or "b_var" in doc:
@@ -102,9 +108,9 @@ class ExperimentSpec:
         delta_grid = None
         if mode == "delta-sweep":
             raw = doc.get("delta_grid")
-            if not raw:
+            if not raw or not isinstance(raw, list):
                 raise ConfigError("delta-sweep mode requires a 'delta_grid' list")
-            delta_grid = tuple(float(d) for d in raw)
+            delta_grid = tuple(config_number(d, "grid delta") for d in raw)
             for d in delta_grid:
                 if not 0.0 <= d < 1.0:
                     raise ConfigError(f"grid delta {d} outside [0, 1)")
@@ -113,10 +119,12 @@ class ExperimentSpec:
         return cls(
             mode=mode,
             params=params,
-            h=int(doc["h"]),
-            periods=int(doc["periods"]),
-            sample_stride=int(doc.get("sample_stride", 1000)),
-            seed=int(doc.get("seed", 0)),
+            h=config_number(doc["h"], "h", int),
+            periods=config_number(doc["periods"], "periods", int),
+            sample_stride=config_number(
+                doc.get("sample_stride", 1000), "sample_stride", int
+            ),
+            seed=config_number(doc.get("seed", 0), "seed", int),
             initial_reputation=init,
             groups=groups,
             b_mean=b_mean,
@@ -309,20 +317,12 @@ def run_adaptation(
 
     etas = np.repeat(mu_counts[None, :], adapt.size, axis=0)
     etas[np.arange(adapt.size), state.rep[adapt]] -= 1.0
-    benefits = None
-    if adaptive:
-        serve_prob = state.belief_rows[adapt] @ _serve_matrix(p.L).astype(float)
-        benefits = (
-            np.einsum("kr,krs->ks", etas, serve_prob)
-            * state.bs[adapt][:, None]
-            / (p.N - 1)
-        )
     policies, _ = solve_policy_batch(
         norm,
         etas,
         state.deltas[adapt],
-        benefits=benefits,
-        bs=None if adaptive else state.bs[adapt],
+        belief_rows=state.belief_rows[adapt] if adaptive else None,
+        bs=state.bs[adapt],
     )
     new_thr = policies[np.arange(adapt.size), state.rep[adapt]]
     state.thr[adapt] = new_thr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from normsim import (
+    BeliefMatrix,
     CommunityParams,
     OpponentConfig,
     SocialNorm,
@@ -158,24 +159,40 @@ def test_threshold_structure_on_random_censuses():
 
 
 def test_batch_solver_matches_scalar_solver():
+    # mixed deltas and per-user benefits, under the baseline belief and under
+    # random row-stochastic beliefs over opponents' thresholds
     rng = np.random.default_rng(3)
     norm = make_norm(N=20, epsilon=0.05, h=2)
-    etas = []
-    deltas = []
-    for _ in range(40):
-        counts = rng.multinomial(19, np.ones(4) / 4)
-        etas.append(counts)
-        deltas.append(float(rng.uniform(0.0, 0.9)))
-    policies, values = solve_policy_batch(
-        norm, np.array(etas, dtype=float), np.array(deltas)
-    )
-    for k in range(40):
-        sol = solve_value_iteration(
-            norm, OpponentConfig(counts=tuple(int(x) for x in etas[k])),
-            delta=deltas[k],
+    K = 40
+    etas = rng.multinomial(19, np.ones(4) / 4, size=K)
+    deltas = rng.uniform(0.0, 0.9, size=K)
+    bs = rng.uniform(1.2, 6.0, size=K)
+    for beliefs in (None, rng.dirichlet(np.ones(5), size=(K, 4))):
+        policies, values = solve_policy_batch(
+            norm, etas.astype(float), deltas, bs=bs, belief_rows=beliefs
         )
-        assert np.abs(values[k] - sol.values).max() < 1e-7
-        assert (policies[k] == sol.policy).all()
+        assert len({tuple(row) for row in policies}) >= 3
+        for k in range(K):
+            sol = solve_value_iteration(
+                norm,
+                OpponentConfig(counts=tuple(int(x) for x in etas[k])),
+                delta=float(deltas[k]),
+                b=float(bs[k]),
+                beliefs=None if beliefs is None else BeliefMatrix(rows=beliefs[k]),
+            )
+            assert np.abs(values[k] - sol.values).max() < 1e-7
+            assert (policies[k] == sol.policy).all()
+
+
+def test_batch_solver_raises_when_policies_do_not_settle():
+    # against an all-top census the best response complies, which policy
+    # iteration cannot reach from its all-defect start in one round
+    norm = make_norm(N=11)
+    etas = np.array([[0.0, 0.0, 0.0, 10.0]])
+    policies, _ = solve_policy_batch(norm, etas, [0.6])
+    assert (policies[0] != 4).any()
+    with pytest.raises(RuntimeError, match="did not settle"):
+        solve_policy_batch(norm, etas, [0.6], max_rounds=1)
 
 
 def test_structural_policy_properties():

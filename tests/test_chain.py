@@ -3,7 +3,6 @@ import pytest
 
 from normsim import (
     CommunityParams,
-    Configuration,
     SocialNorm,
     build_transition_matrix,
     classify_absorbing,
@@ -12,7 +11,6 @@ from normsim import (
     sample_trajectory,
     stationary_distribution,
     stationary_linear,
-    strategy_configuration,
 )
 
 
@@ -39,15 +37,15 @@ def test_enumeration_cap():
         enumerate_configs(200, 3, cap=1000)
 
 
-def test_strategy_configuration_extremes():
+def test_transition_policies_at_extremes():
     norm = make_norm(N=6)
+    space = enumerate_configs(6, 3)
+    policies = build_transition_matrix(norm, space).policies
     # nobody worth serving: every occupied reputation defects outright
-    pol0 = strategy_configuration(norm, Configuration(counts=(6, 0, 0, 0)))
-    assert pol0[0] == 4
+    assert policies[space.mu0][0] == 4
     # full cooperation is self-enforcing under feasible parameters: the
     # best response at the top serves top-reputation clients
-    polN = strategy_configuration(norm, Configuration(counts=(0, 0, 0, 6)))
-    assert polN[3] <= 3
+    assert policies[space.muN][3] <= 3
 
 
 def test_transition_rows_are_stochastic():

@@ -75,6 +75,45 @@ def test_simulate_rejects_bad_spec(tmp_path, capsys):
     assert main(["simulate", "--spec", str(notjson)]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"N": "abc"},
+        {"N": 20.5},
+        {"b": float("inf")},
+        {"periods": float("inf")},
+        {"mode": "varying-b", "b_mean": float("inf"), "b_var": 0.5},
+        {"mode": "varying-b", "b_mean": 3.0, "b_var": float("nan")},
+        {"mode": "delta-sweep", "delta_grid": [0.5, "x"]},
+        {"mode": "mixed", "groups": [{"size": "ten", "delta": 0.5}]},
+        {"mode": "mixed", "groups": [7]},
+    ],
+    ids=[
+        "N-text", "N-fraction", "b-inf", "periods-inf", "b_mean-inf", "b_var-nan",
+        "delta_grid-text", "group-size-text", "group-not-object",
+    ],
+)
+def test_simulate_rejects_malformed_numbers(spec_file, tmp_path, overrides, capsys):
+    doc = json.loads(spec_file.read_text())
+    doc.update(overrides)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", str(bad)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"N": "abc"}, {"b": float("inf")}, {"h": None}],
+    ids=["N-text", "b-inf", "h-null"],
+)
+def test_chain_rejects_malformed_numbers(norm_file, tmp_path, overrides):
+    doc = json.loads(norm_file.read_text())
+    doc.update(overrides)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["chain", "--config", str(bad)]) == 2
+
+
 def test_chain_writes_artifacts(norm_file, tmp_path, capsys):
     out = tmp_path / "chain"
     code = main(
@@ -130,7 +169,8 @@ def test_design_csv(tmp_path, capsys):
 
 
 def test_design_rejects_bad_grid(capsys):
-    assert main(["design", "--delta-grid", "oops", "--cb-grid", "0.3:0.3:0.1"]) == 2
+    for grid in ("oops", "0.1:inf:0.1", "nan:0.5:0.1"):
+        assert main(["design", "--delta-grid", grid, "--cb-grid", "0.3:0.3:0.1"]) == 2
     # delta outside [0,1) is an invariant violation, not a parse error
     assert main(["design", "--delta-grid", "1.5:1.5:0.1", "--cb-grid", "0.3:0.3:0.1"]) == 1
 

@@ -11,9 +11,9 @@ from normsim import (
     benefit_profile,
     cost_profile,
     expected_one_period_utility,
+    model_arrays,
     opponent_of,
     prob_reset,
-    prob_reset_under_belief,
 )
 from normsim.payoff import reset_profile
 
@@ -149,16 +149,17 @@ def test_belief_all_defector_rows_zero_benefit():
     assert np.allclose(got, 0.0)
 
 
-def test_prob_reset_under_belief_matches_baseline_reset():
+def test_beliefs_reshape_benefit_but_not_reset():
     norm = make_norm(N=6, h=2, epsilon=0.12)
+    etas = np.array([[2, 1, 1, 1], [0, 0, 2, 3]])
+    beliefs = np.stack([BeliefMatrix.uniform(3).rows] * 2)
+    base = model_arrays(norm, etas)
+    held = model_arrays(norm, etas, belief_rows=beliefs)
+    assert not np.allclose(held[0], base[0])
+    assert np.array_equal(held[1], base[1])
+    assert np.array_equal(held[2], base[2])
     eta = OpponentConfig(counts=(2, 1, 1, 1))
-    O = BeliefMatrix.uniform(3)
-    act = ThresholdStrategy(3)
-    assert prob_reset_under_belief(norm, 1, eta, act, O) == pytest.approx(
-        prob_reset(norm, 1, eta, act)
-    )
-    with pytest.raises(ValueError):
-        prob_reset_under_belief(norm, 1, eta, act, np.ones((4, 5)))
+    assert base[2][0, 1, 3] == prob_reset(norm, 1, eta, ThresholdStrategy(3))
 
 
 def test_mismatched_census_rejected():
@@ -167,6 +168,8 @@ def test_mismatched_census_rejected():
         cost_profile(norm, OpponentConfig(counts=(1, 1, 1)))
     with pytest.raises(ValueError):
         cost_profile(norm, OpponentConfig(counts=(5, 1, 1, 1)))
+    with pytest.raises(ValueError):
+        model_arrays(norm, np.array([[1, 1, 1, 1], [2, 1, 1, 1]]))
 
 
 def test_cost_profile_counts_served_clients():
