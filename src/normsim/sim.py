@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .beliefs import BeliefMatrix
 from .bestresponse import solve_policy_batch
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number
 from .payoff import Configuration, _phi_matrix
@@ -27,9 +28,6 @@ _SPEC_KEYS = {
     "periods", "sample_stride", "seed", "initial_reputation",
     "groups", "b_mean", "b_var", "delta_grid",
 }
-# strategy cache entries per (census, reputation, delta, benefit) key; evicted
-# wholesale when full so long sweeps cannot grow without bound
-_CACHE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -189,10 +187,7 @@ def initial_state(
         deltas = np.full(p.N, p.delta)
     belief_rows = belief_counts = None
     if adaptive:
-        # every user starts out believing all others comply with the rule
-        row = np.zeros((p.L + 1, p.L + 2))
-        for r in range(p.L + 1):
-            row[r, 0 if r < norm.h else norm.h] = 1.0
+        row = BeliefMatrix.compliant(norm).rows
         belief_rows = np.broadcast_to(row, (p.N, p.L + 1, p.L + 2)).copy()
         belief_counts = np.zeros((p.N, p.L + 1), dtype=np.int64)
     return SimState(
@@ -232,7 +227,8 @@ def run_period(
     if N < 2:
         raise ValueError("a community needs at least 2 users")
     server_of = _derangement(rng, N)  # server_of[i] serves client i
-    client_of = np.argsort(server_of)  # client_of[j] is served by j
+    client_of = np.empty_like(server_of)  # client_of[j] is served by j
+    client_of[server_of] = np.arange(N)
     client_rep = state.rep[client_of]
     z = (client_rep >= state.thr).astype(np.int64)  # realized, by server
     flips = rng.random(N) < p.epsilon
@@ -280,59 +276,58 @@ def _observe_batch(state, norm, server_of, served) -> None:
     state.belief_counts[users, srep] = t
 
 
+def _best_thresholds(norm, mu_counts, reps, deltas, *, bs=None, belief_rows=None):
+    """Thresholds played at reputations ``reps``, each solved against the
+    census with that user removed."""
+    rows = np.arange(reps.size)
+    etas = np.repeat(mu_counts[None, :], reps.size, axis=0)
+    etas[rows, reps] -= 1.0
+    policies, _ = solve_policy_batch(norm, etas, deltas, bs=bs, belief_rows=belief_rows)
+    return policies[rows, reps]
+
+
 def run_adaptation(
     state: SimState,
     norm: SocialNorm,
     mu: Configuration,
     rng: np.random.Generator,
-    cache: dict | None = None,
+    table: dict | None = None,
 ) -> None:
     """Each user recomputes its best response with probability gamma.
 
-    The best response is solved against the posted census with the user
-    itself removed, at the user's personal discount factor and benefit, and
-    with its own belief matrix when it maintains one.  The user's new
-    threshold is the policy entry at its current reputation.
+    The best response is solved against the posted census ``mu`` (which
+    counts every user's current reputation) with the user itself removed, at
+    the user's personal discount factor and benefit, and with its own belief
+    matrix when it maintains one.  The user's new threshold is the policy
+    entry at its current reputation.
+
+    ``table`` maps (census, delta) to the thresholds played at each occupied
+    reputation, solved on a miss.  It is valid only while every user has the
+    baseline belief and the norm's benefit, so ``varying-b`` and
+    ``adaptive-belief`` runs pass None and solve every adapter on its own row.
     """
-    p = norm.params
-    adapt = np.flatnonzero(rng.random(state.N) < p.gamma)
+    adapt = np.flatnonzero(rng.random(state.N) < norm.params.gamma)
     if adapt.size == 0:
         return
     mu_counts = np.asarray(mu.counts, dtype=float)
-    adaptive = state.belief_rows is not None
-
-    if not adaptive and cache is not None:
-        todo = []
-        for i in adapt:
-            key = (mu.counts, int(state.rep[i]), float(state.deltas[i]),
-                   float(state.bs[i]))
-            hit = cache.get(key)
-            if hit is None:
-                todo.append(i)
-            else:
-                state.thr[i] = hit
-        adapt = np.asarray(todo, dtype=np.int64)
-        if adapt.size == 0:
-            return
-
-    etas = np.repeat(mu_counts[None, :], adapt.size, axis=0)
-    etas[np.arange(adapt.size), state.rep[adapt]] -= 1.0
-    policies, _ = solve_policy_batch(
-        norm,
-        etas,
-        state.deltas[adapt],
-        belief_rows=state.belief_rows[adapt] if adaptive else None,
-        bs=state.bs[adapt],
-    )
-    new_thr = policies[np.arange(adapt.size), state.rep[adapt]]
-    state.thr[adapt] = new_thr
-    if not adaptive and cache is not None:
-        if len(cache) > _CACHE_CAP:
-            cache.clear()
-        for row, i in enumerate(adapt):
-            key = (mu.counts, int(state.rep[i]), float(state.deltas[i]),
-                   float(state.bs[i]))
-            cache[key] = int(new_thr[row])
+    reps, deltas = state.rep[adapt], state.deltas[adapt]
+    if (mu_counts[reps] == 0).any():
+        raise ValueError("the census does not count an adapting user's reputation")
+    if table is None:
+        beliefs = None if state.belief_rows is None else state.belief_rows[adapt]
+        state.thr[adapt] = _best_thresholds(
+            norm, mu_counts, reps, deltas, bs=state.bs[adapt], belief_rows=beliefs
+        )
+        return
+    occupied = np.flatnonzero(mu_counts)
+    for delta in np.unique(deltas):
+        thr = table.get((mu.counts, delta))
+        if thr is None:
+            thr = np.zeros_like(mu_counts, dtype=np.int64)
+            thr[occupied] = _best_thresholds(norm, mu_counts, occupied, delta)
+            table[(mu.counts, delta)] = thr
+        sel = deltas == delta
+        state.thr[adapt[sel]] = thr[reps[sel]]
 
 
 def _redraw_benefits(state, spec, rng) -> None:
@@ -376,13 +371,13 @@ def run_evolution(
         deltas=deltas,
         adaptive=spec.mode == "adaptive-belief",
     )
-    cache: dict = {}
+    table = None if spec.mode in ("varying-b", "adaptive-belief") else {}
     samples: list[PeriodMetrics] = []
     mu = Configuration(counts=tuple(int(n) for n in state.census(params.L)))
     for period in range(1, spec.periods + 1):
         if spec.mode == "varying-b":
             _redraw_benefits(state, spec, rng)
-        run_adaptation(state, norm, mu, rng, cache)
+        run_adaptation(state, norm, mu, rng, table)
         metrics = run_period(state, norm, rng, period)
         mu = metrics.configuration
         if period % spec.sample_stride == 0 or period == spec.periods:
@@ -477,11 +472,11 @@ def bridge_occupancy(
     """
     rng = np.random.default_rng(seed)
     state = initial_state(norm, rng, initial_reputation="uniform")
-    cache: dict = {}
+    table: dict = {}
     counts = np.zeros(len(space), dtype=np.int64)
     mu = Configuration(counts=tuple(int(n) for n in state.census(norm.params.L)))
     for period in range(1, periods + 1):
-        run_adaptation(state, norm, mu, rng, cache)
+        run_adaptation(state, norm, mu, rng, table)
         metrics = run_period(state, norm, rng, period)
         mu = metrics.configuration
         if period > burn_in and period % stride == 0:

@@ -15,6 +15,8 @@ from normsim import (
     run_period,
     updated_row,
 )
+from normsim import sim
+from normsim.chain import build_transition_matrix, enumerate_configs
 from normsim.sim import _derangement, _redraw_benefits, run_adaptation
 
 
@@ -152,20 +154,70 @@ def test_adaptation_defects_against_empty_community():
     assert (state.thr == 4).all()
 
 
-def test_adaptation_cache_is_transparent():
-    norm = make_norm(N=15, gamma=1.0, epsilon=0.05)
-    mu = Configuration(counts=(4, 3, 3, 5))
-    state_a = initial_state(norm, np.random.default_rng(7))
-    state_b = SimState_copy(state_a)
-    run_adaptation(state_a, norm, mu, np.random.default_rng(8), cache={})
-    run_adaptation(state_b, norm, mu, np.random.default_rng(8), cache=None)
-    assert (state_a.thr == state_b.thr).all()
-    # warmed cache returns identical thresholds again
-    cache = {}
-    run_adaptation(state_a, norm, mu, np.random.default_rng(9), cache=cache)
-    state_c = SimState_copy(state_b)
-    run_adaptation(state_c, norm, mu, np.random.default_rng(9), cache=cache)
-    assert (state_a.thr == state_c.thr).all()
+def _census(state, L=3):
+    return Configuration(counts=tuple(int(n) for n in state.census(L)))
+
+
+def _census_states(norm, deltas):
+    """States at several censuses: all at the bottom, uniform, skewed up."""
+    for seed in range(6):
+        init = "zeros" if seed == 0 else "uniform"
+        rng = np.random.default_rng(seed)
+        state = initial_state(norm, rng, initial_reputation=init, deltas=deltas)
+        state.rep[: seed % 3] = 3
+        yield state
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
+    norm = make_norm(N=15, gamma=0.7, epsilon=0.05)
+    deltas = np.repeat([0.3, 0.6, 0.9], 5) if mixed else None
+    table, played = {}, []
+    for seed, state in enumerate(_census_states(norm, deltas)):
+        solo = SimState_copy(state)
+        mu = _census(state)
+        run_adaptation(state, norm, mu, np.random.default_rng(50 + seed), table)
+        run_adaptation(solo, norm, mu, np.random.default_rng(50 + seed), None)
+        assert (state.thr == solo.thr).all()
+        played.append(state.thr)
+    assert {delta for _, delta in table} == ({0.3, 0.6, 0.9} if mixed else {0.6})
+
+    # a warmed table answers from its entries alone, with the same thresholds
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a warmed table called the solver")
+
+    monkeypatch.setattr(sim, "solve_policy_batch", no_solve)
+    for seed, state in enumerate(_census_states(norm, deltas)):
+        mu = _census(state)
+        run_adaptation(state, norm, mu, np.random.default_rng(50 + seed), table)
+        assert (state.thr == played[seed]).all()
+
+
+def test_adaptation_rejects_census_missing_an_adapter():
+    norm = make_norm(N=10, gamma=1.0)
+    state = initial_state(norm, np.random.default_rng(6), initial_reputation="zeros")
+    mu = Configuration(counts=(0, 0, 0, 10))
+    for table in ({}, None):
+        with pytest.raises(ValueError):
+            run_adaptation(state, norm, mu, np.random.default_rng(6), table)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.05])
+def test_adaptation_table_agrees_with_chain_policies(epsilon):
+    # the exact chain solves every (census, reputation) pair in one batch;
+    # the table solves one census at a time, so agreement shows that a
+    # census's thresholds do not depend on what else is in the batch
+    norm = make_norm(N=8, epsilon=epsilon)
+    space = enumerate_configs(8, 3)
+    policies = build_transition_matrix(norm, space).policies
+    table = {}
+    for i, mu in enumerate(space.configs):
+        state = initial_state(norm, np.random.default_rng(0))
+        state.rep = np.repeat(np.arange(4), mu.counts)
+        run_adaptation(state, norm, mu, np.random.default_rng(1), table)
+        occupied = np.flatnonzero(mu.counts)
+        assert (table[(mu.counts, 0.6)][occupied] == policies[i, occupied]).all()
+        assert (state.thr == policies[i, state.rep]).all()
 
 
 def SimState_copy(state):
@@ -186,9 +238,7 @@ def test_engine_belief_update_matches_reference():
     # replay one period by hand with the same draws
     rep_before = state.rep.copy()
     rows_before = state.belief_rows.copy()
-    rng_copy = np.random.default_rng(10)
-    _ = _derangement(rng_copy, 8)  # consumed by initial_state? no: align below
-    # simpler: drive the period with a fresh generator shared by both paths
+    # drive the period with a fresh generator shared by both paths
     drive = np.random.default_rng(11)
     server_of = _derangement(drive, 8)
     client_of = np.argsort(server_of)
@@ -280,10 +330,9 @@ def test_adaptive_belief_mode_keeps_rows_stochastic():
     norm = SocialNorm(params=spec.params, h=spec.h)
     rng = np.random.default_rng(spec.seed)
     state = initial_state(norm, rng, adaptive=True)
-    cache = {}
-    mu = Configuration(counts=tuple(int(n) for n in state.census(3)))
+    mu = _census(state)
     for period in range(1, 301):
-        run_adaptation(state, norm, mu, rng, cache)
+        run_adaptation(state, norm, mu, rng)
         mu = run_period(state, norm, rng, period).configuration
     assert np.abs(state.belief_rows.sum(axis=2) - 1.0).max() < 1e-9
     assert (state.belief_counts.sum(axis=1) == 300).all()
