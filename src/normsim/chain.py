@@ -81,6 +81,8 @@ class StationaryDist:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("stationary weights must be finite")
         if w.min() < -1e-12:
             raise ValueError("stationary weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -193,52 +195,44 @@ def build_transition_matrix(
     return TransitionMatrix(epsilon=eps, entries=P, policies=policies)
 
 
-def stationary_distribution(
-    P: TransitionMatrix,
-    *,
-    tol: float = 1e-13,
-    max_squarings: int = 400,
-    check_starts: int = 3,
-    seed: int = 0,
-) -> StationaryDist:
+def stationary_distribution(P: TransitionMatrix) -> StationaryDist:
     """Unique stationary distribution of an irreducible kernel.
 
-    Implements power iteration from the uniform start, accelerated by
-    repeated squaring of the kernel (each squaring doubles the number of
-    plain power steps), so it converges even at the near-reducible error
-    rates where plain iteration would need ~1/epsilon^m steps.  Convergence
-    from ``check_starts`` random starts to the same vector is verified.
+    Uses GTH state reduction (Grassmann, Taksar and Heyman 1985).  States are
+    eliminated from the last to the first: eliminating state k folds its
+    transitions into the chain censored on states 0..k-1.  The probability of
+    leaving k for a lower state is taken as the sum of those entries, never as
+    one minus the diagonal, so no step subtracts and every weight keeps its
+    relative accuracy at the near-reducible error rates where the kernel's
+    off-diagonal mass is of order epsilon.  A back-substitution then recovers
+    the weights.  The cost is one O(n^3) pass, whatever epsilon is.
+
+    Raises ``ValueError`` for a zero-error kernel and ``RuntimeError`` when a
+    state cannot reach any lower state in its censored chain, which means the
+    kernel is not irreducible.
     """
     if P.epsilon <= 0:
         raise ValueError(
             "stationary distribution requires epsilon > 0 (irreducible kernel)"
         )
-    M = P.entries.copy()
-    for _ in range(max_squarings):
-        if (M.max(axis=0) - M.min(axis=0)).max() < tol:
-            break
-        M = M @ M
-        if not np.isfinite(M).all():
-            raise FloatingPointError(
-                "kernel powers lost finiteness; epsilon too small for doubles"
+    A = P.entries.copy()
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        s = A[k, :k].sum()
+        if not s > 0:
+            raise RuntimeError(
+                f"state {k} reaches no lower state; the kernel is not irreducible"
             )
-        M /= M.sum(axis=1, keepdims=True)
-    else:
-        raise RuntimeError(
-            "power iteration did not converge; the kernel looks reducible "
-            "(was it built with epsilon=0?)"
-        )
-    w = M.mean(axis=0)
-    w /= w.sum()
+        A[:k, k] /= s
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ A[:k, k]
+    w = x / x.sum()
     residual = np.abs(w @ P.entries - w).max()
     if residual > 1e-10:
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds 1e-10")
-    rng = np.random.default_rng(seed)
-    for _ in range(check_starts):
-        x = rng.random(len(w))
-        x /= x.sum()
-        if np.abs(x @ M - w).max() > 1e-8:
-            raise RuntimeError("random starts disagree; kernel is not ergodic")
     return StationaryDist(weights=w)
 
 
@@ -299,10 +293,7 @@ def limiting_distribution(
     table = {}
     for eps in ladder:
         P = build_transition_matrix(norm, space, epsilon=eps)
-        omega = stationary_distribution(P)
-        if not np.isfinite(omega.weights).all():
-            raise FloatingPointError(f"stationary weights underflowed at eps={eps}")
-        table[eps] = omega
+        table[eps] = stationary_distribution(P)
 
     def support_at(eps):
         cut = max(100.0 * eps, 1e-3)

@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, FloatingPointError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
 
