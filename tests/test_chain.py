@@ -16,6 +16,7 @@ from normsim import (
     limiting_distribution,
     sample_trajectory,
     stationary_distribution,
+    stationary_linear,
 )
 
 
@@ -73,6 +74,25 @@ def test_space_norm_mismatch_rejected():
     norm = make_norm(N=6)
     with pytest.raises(ValueError):
         build_transition_matrix(norm, enumerate_configs(5, 3))
+
+
+def test_stationary_matches_linear_solve():
+    norm = make_norm(N=4, epsilon=0.02)
+    space = enumerate_configs(4, 3)
+    P = build_transition_matrix(norm, space)
+    w_pow = stationary_distribution(P)
+    w_lin = stationary_linear(P)
+    assert np.abs(w_pow.weights - w_lin.weights).max() < 1e-10
+    assert np.abs(w_pow.weights @ P.entries - w_pow.weights).max() < 1e-10
+
+
+def test_stationary_survives_tiny_error_rates():
+    # near-reducible regime where plain power iteration stalls
+    norm = make_norm(N=4, epsilon=1e-5)
+    space = enumerate_configs(4, 3)
+    P = build_transition_matrix(norm, space)
+    w = stationary_distribution(P)
+    assert np.abs(w.weights - stationary_linear(P).weights).max() < 1e-10
 
 
 def _stationary_by_squaring(P: np.ndarray) -> np.ndarray:
