@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .bestresponse import solve_policy_batch
-from .norms import SocialNorm
+from .norms import ConfigError, SocialNorm
 from .payoff import Configuration, model_arrays
 
 DEFAULT_SPACE_CAP = 10**5
@@ -66,9 +66,9 @@ class TransitionMatrix:
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"transition matrix must be square, got {P.shape}")
         gap = np.abs(P.sum(axis=1) - 1.0).max()
-        if gap > ROW_SUM_TOL:
+        if not gap <= ROW_SUM_TOL:  # NaN fails too
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, off by {gap:.3e}")
-        if P.min() < 0:
+        if not P.min() >= 0:
             raise ValueError("transition probabilities must be nonnegative")
         object.__setattr__(self, "entries", P)
 
@@ -107,7 +107,7 @@ def enumerate_configs(N: int, L: int, cap: int = DEFAULT_SPACE_CAP) -> ConfigSpa
     """
     size = math.comb(N + L, L)
     if size > cap:
-        raise ValueError(
+        raise ConfigError(
             f"census space has {size} members for N={N}, L={L}, above the cap "
             f"{cap}; reduce N (or L) for exact chain analysis"
         )
@@ -155,8 +155,11 @@ def build_transition_matrix(
 
     Given the census, each user independently resets to reputation 0 with its
     action's punishment probability and otherwise climbs one step (capped at
-    the top); the row distribution is the convolution of the per-bucket
-    binomial reset counts.
+    the top).  Per census, the reset-count vectors k form one array, an axis
+    per occupied bucket over its binomial pmf's support, with probabilities
+    the outer product of the pmfs in reputation order.  k sends sum(k) users
+    to 0 and bucket r's other n_r - k_r one step up (L-1 and L merge at L);
+    one ``np.bincount`` over their ``space.index`` columns fills the row.
     """
     p = norm.params
     if space.N != p.N or space.L != p.L:
@@ -164,34 +167,25 @@ def build_transition_matrix(
             f"space built for N={space.N}, L={space.L}; norm has N={p.N}, L={p.L}"
         )
     eps = p.epsilon if epsilon is None else epsilon
+    if not 0 <= eps < 0.5:
+        raise ConfigError(f"error rate must lie in [0, 0.5), got {eps}")
     L = p.L
-    size = len(space)
     policies, resets = _batch_policies(norm, space, eps)
-    P = np.zeros((size, size))
-    zero = (0,) * (L + 1)
+    P = np.zeros((len(space), len(space)))
     for i, mu in enumerate(space.configs):
-        dist = {zero: 1.0}
-        for rep in range(L + 1):
+        prob, dest = np.ones(()), np.zeros(L + 1, dtype=np.int64)
+        for rep in np.flatnonzero(mu.counts):
             n = mu.counts[rep]
-            if n == 0:
-                continue
             q = float(resets[i, rep])
-            dest = min(L, rep + 1)
-            pmf = [math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)]
-            nxt: dict[tuple[int, ...], float] = {}
-            for counts, prob in dist.items():
-                base = list(counts)
-                for k, pk in enumerate(pmf):
-                    if pk == 0.0:
-                        continue
-                    step = base.copy()
-                    step[0] += k
-                    step[dest] += n - k
-                    key = tuple(step)
-                    nxt[key] = nxt.get(key, 0.0) + prob * pk
-            dist = nxt
-        for counts, prob in dist.items():
-            P[i, space.index[counts]] = prob
+            pmf = np.array([math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
+                            for k in range(n + 1)])
+            k = np.flatnonzero(pmf)
+            step = np.zeros((k.size, L + 1), dtype=np.int64)
+            step[:, 0], step[:, min(L, rep + 1)] = k, n - k
+            prob = np.multiply.outer(prob, pmf[k])
+            dest = dest[..., None, :] + step
+        cols = [space.index[d] for d in map(tuple, dest.reshape(-1, L + 1).tolist())]
+        P[i] = np.bincount(cols, weights=prob.ravel(), minlength=len(space))
     return TransitionMatrix(epsilon=eps, entries=P, policies=policies)
 
 
@@ -237,7 +231,12 @@ def stationary_distribution(P: TransitionMatrix) -> StationaryDist:
 
 
 def stationary_linear(P: TransitionMatrix) -> StationaryDist:
-    """Dense linear-solve cross-check of the stationary distribution."""
+    """Dense linear-solve cross-check of the stationary distribution.
+
+    Holds to 1e-10 only at eps >= 1e-2 and N <= 6.  At smaller eps its diagonal
+    P[k, k] - 1 cancels, and about one random draw in six then misses GTH by
+    more than 1e-10 or gets negative weights.
+    """
     n = P.entries.shape[0]
     if n > 2000:
         raise ValueError("linear solve cross-check is limited to 2000 states")
@@ -287,9 +286,9 @@ def limiting_distribution(
     """
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder or any(e <= 0 for e in ladder):
-        raise ValueError("error ladder must be positive")
+        raise ConfigError("error ladder must be positive")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("error ladder must be strictly decreasing")
+        raise ConfigError("error ladder must be strictly decreasing")
     table = {}
     for eps in ladder:
         P = build_transition_matrix(norm, space, epsilon=eps)
@@ -329,8 +328,10 @@ def _analytic_absorbing_indices(norm: SocialNorm, space: ConfigSpace) -> set[int
     p = norm.params
     N, L, h = p.N, p.L, norm.h
     d, b, c = p.delta, p.b, p.c
-    comply_floor = (1.0 - d) * c / (d * (b - c)) if d > 0 else math.inf
-    defect_floor = 1.0 - (1.0 - d**h) * c / (d**h * (b - c)) if d > 0 else -math.inf
+    # a discount whose gain underflows to 0 acts as d = 0: both floors are infinite
+    gain, gain_h = d * (b - c), d**h * (b - c)
+    comply_floor = (1.0 - d) * c / gain if gain > 0 else math.inf
+    defect_floor = 1.0 - (1.0 - d**h) * c / gain_h if gain_h > 0 else -math.inf
     out = set()
     for i, mu in enumerate(space.configs):
         counts = mu.counts
@@ -372,17 +373,14 @@ def classify_absorbing(
             f"incentive-only {only_a}, kernel-only {only_n}"
         )
     adj = csr_matrix(P0.entries > 1e-15)
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    classes = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        outside = np.ones(len(space), dtype=bool)
-        outside[members] = False
-        if P0.entries[np.ix_(members, outside)].max(initial=0.0) <= 1e-15:
-            classes.append(tuple(int(m) for m in members))
+    _, labels = connected_components(adj, directed=True, connection="strong")
+    row, col = adj.nonzero()
+    leaky = np.isin(labels, labels[row[labels[row] != labels[col]]])
+    closed = np.flatnonzero(~leaky)[np.argsort(labels[~leaky], kind="stable")]
+    classes = np.split(closed, np.flatnonzero(np.diff(labels[closed])) + 1)
     idx = tuple(sorted(numeric))
     return AbsorbingClassification(
         absorbing=tuple(space.configs[i] for i in idx),
         absorbing_indices=idx,
-        classes=tuple(sorted(classes)),
+        classes=tuple(sorted(tuple(c.tolist()) for c in classes)),
     )

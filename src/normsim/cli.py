@@ -22,7 +22,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import design as design_mod
 from .bestresponse import closed_form_bimodal, solve_value_iteration
-from .norms import CommunityParams, ConfigError, SocialNorm, load_norm
+from .norms import CommunityParams, ConfigError, SocialNorm, config_number, load_norm
 from .payoff import Configuration, OpponentConfig
 from .sim import ExperimentSpec, bridge_occupancy, run_experiment
 
@@ -69,7 +69,7 @@ def _cmd_chain(args) -> int:
         norm = SocialNorm(params=params, h=norm.h)
     space = chain_mod.enumerate_configs(N, norm.L)
     ladder = (
-        [float(e) for e in args.eps_ladder.split(",")]
+        [config_number(e, "eps-ladder entry") for e in args.eps_ladder.split(",")]
         if args.eps_ladder
         else list(chain_mod.DEFAULT_EPS_LADDER)
     )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normsim import (
@@ -18,6 +18,8 @@ from normsim import (
     stationary_distribution,
     stationary_linear,
 )
+from normsim.chain import _batch_policies
+from normsim.norms import ConfigError
 
 
 def make_norm(N=6, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.01, h=1):
@@ -52,6 +54,77 @@ def test_transition_policies_at_extremes():
     # full cooperation is self-enforcing under feasible parameters: the
     # best response at the top serves top-reputation clients
     assert policies[space.muN][3] <= 3
+
+
+def _kernel_by_convolution(norm, space, eps):
+    """Reference: each row as a dict convolution of the per-bucket binomial
+    reset counts, one reputation at a time."""
+    L = norm.params.L
+    _, resets = _batch_policies(norm, space, eps)
+    P = np.zeros((len(space), len(space)))
+    zero = (0,) * (L + 1)
+    for i, mu in enumerate(space.configs):
+        dist = {zero: 1.0}
+        for rep in range(L + 1):
+            n = mu.counts[rep]
+            if n == 0:
+                continue
+            q = float(resets[i, rep])
+            dest = min(L, rep + 1)
+            pmf = [math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)]
+            nxt: dict[tuple[int, ...], float] = {}
+            for counts, prob in dist.items():
+                base = list(counts)
+                for k, pk in enumerate(pmf):
+                    if pk == 0.0:
+                        continue
+                    step = base.copy()
+                    step[0] += k
+                    step[dest] += n - k
+                    key = tuple(step)
+                    nxt[key] = nxt.get(key, 0.0) + prob * pk
+            dist = nxt
+        for counts, prob in dist.items():
+            P[i, space.index[counts]] = prob
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(min_value=2, max_value=7),
+    L=st.integers(min_value=1, max_value=4),
+    h=st.integers(min_value=1, max_value=4),
+    delta=st.floats(min_value=0.0, max_value=0.95),
+    b=st.floats(min_value=1.05, max_value=10.0),
+    eps=st.one_of(
+        st.just(0.0),
+        st.floats(min_value=-6.0, max_value=math.log10(0.2)).map(lambda x: 10.0**x),
+    ),
+)
+@example(N=6, L=3, h=1, delta=0.6, b=3.0, eps=0.0)
+@example(N=2, L=40, h=1, delta=0.6, b=3.0, eps=1e-2)  # column lookup on a large L
+def test_kernel_matches_dict_convolution(N, L, h, delta, b, eps):
+    assume(h <= L)
+    norm = make_norm(N=N, L=L, b=b, delta=delta, h=h)
+    space = enumerate_configs(N, L)
+    P = build_transition_matrix(norm, space, epsilon=eps)
+    assert np.array_equal(P.entries, _kernel_by_convolution(norm, space, eps))
+
+
+@pytest.mark.parametrize("eps", [-1e-3, 0.5, 0.7, math.nan])
+def test_kernel_rejects_error_rate_outside_range(eps):
+    norm = make_norm(N=4)
+    with pytest.raises(ConfigError, match="error rate"):
+        build_transition_matrix(norm, enumerate_configs(4, 3), epsilon=eps)
+
+
+def test_transition_matrix_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        TransitionMatrix(epsilon=0.1, entries=np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        TransitionMatrix(epsilon=0.1, entries=[[1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        TransitionMatrix(epsilon=0.1, entries=[[np.inf, -np.inf], [0.5, 0.5]])
 
 
 def test_transition_rows_are_stochastic():
@@ -202,6 +275,43 @@ def test_absorbing_classification_with_degenerate_top():
     assert got == {(11, 0, 0, 0), (10, 0, 0, 1), (0, 0, 0, 11)}
     for i in cls.absorbing_indices:
         assert (i,) in cls.classes
+
+
+def _closed_classes_by_reachability(P0: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Reference: close the adjacency under composition; the class of s is
+    closed iff every state reachable from s reaches back to s."""
+    reach = (P0 > 1e-15) | np.eye(len(P0), dtype=bool)
+    while True:
+        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    classes = {
+        tuple(np.flatnonzero(reach[s] & reach[:, s]).tolist())
+        for s in range(len(P0))
+        if not (reach[s] & ~reach[:, s]).any()
+    }
+    return tuple(sorted(classes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(min_value=2, max_value=6),
+    L=st.integers(min_value=2, max_value=3),
+    h=st.integers(min_value=1, max_value=3),
+    delta=st.floats(min_value=0.0, max_value=0.95),
+    b=st.floats(min_value=1.05, max_value=10.0),
+)
+@example(N=6, L=3, h=1, delta=0.6, b=3.0)
+@example(N=6, L=3, h=1, delta=0.3, b=3.0)
+@example(N=2, L=3, h=3, delta=1.6630813618826782e-156, b=2.0)  # delta**h underflows
+@example(N=3, L=2, h=1, delta=5e-324, b=1.4)  # so does delta * (b - c)
+def test_closed_classes_match_reachability(N, L, h, delta, b):
+    assume(h <= L)
+    norm = make_norm(N=N, L=L, b=b, delta=delta, h=h)
+    space = enumerate_configs(N, L)
+    P0 = build_transition_matrix(norm, space, epsilon=0.0).entries
+    assert classify_absorbing(norm, space).classes == _closed_classes_by_reachability(P0)
 
 
 def test_absorbing_excludes_full_cooperation_when_impatient():

@@ -114,6 +114,24 @@ def test_chain_rejects_malformed_numbers(norm_file, tmp_path, overrides):
     assert main(["chain", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eps-ladder", "abc"],
+        ["--eps-ladder", "0.1,nan"],
+        ["--eps-ladder", "0.7,0.6"],
+        ["--N", "200"],
+        ["--eps-ladder", "1e-2,1e-2"],
+        ["--eps-ladder", "0"],
+    ],
+    ids=["ladder-text", "ladder-nan", "ladder-above-half", "N-over-cap",
+         "ladder-not-decreasing", "ladder-zero"],
+)
+def test_chain_rejects_bad_flags(norm_file, flags, capsys):
+    assert main(["chain", "--config", str(norm_file), *flags]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_chain_writes_artifacts(norm_file, tmp_path, capsys):
     out = tmp_path / "chain"
     code = main(
