@@ -22,7 +22,7 @@ from .bestresponse import solve_policy_batch
 from .norms import ConfigError, SocialNorm
 from .payoff import Configuration, model_arrays
 
-DEFAULT_SPACE_CAP = 10**5
+DEFAULT_SPACE_CAP = 15_000  # two dense float64 kernels of this size take 3.6 GB
 DEFAULT_EPS_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 ROW_SUM_TOL = 1e-12
 
@@ -103,7 +103,8 @@ def enumerate_configs(N: int, L: int, cap: int = DEFAULT_SPACE_CAP) -> ConfigSpa
     """Enumerate every census of N users over reputations 0..L.
 
     The space has binomial(N+L, L) members; sizes beyond ``cap`` are refused
-    because downstream matrices are dense in the space size.
+    because two dense matrices of that size coexist downstream (a kernel and
+    its GTH copy).  The default admits N <= 42 at L = 3.
     """
     size = math.comb(N + L, L)
     if size > cap:
@@ -200,6 +201,11 @@ def stationary_distribution(P: TransitionMatrix) -> StationaryDist:
     relative accuracy at the near-reducible error rates where the kernel's
     off-diagonal mass is of order epsilon.  A back-substitution then recovers
     the weights.  The cost is one O(n^3) pass, whatever epsilon is.
+    Eliminations run in panels of 32 states from the top, as in blocked LU:
+    each step updates only its panel's columns and rows, all that the panel's
+    later pivots read, and the rest of the update is added once per panel as
+    one matrix product.  Every update adds nonnegative products, so the solve
+    stays subtraction-free; only the summation order differs.
 
     Raises ``ValueError`` for a zero-error kernel and ``RuntimeError`` when a
     state cannot reach any lower state in its censored chain, which means the
@@ -211,14 +217,18 @@ def stationary_distribution(P: TransitionMatrix) -> StationaryDist:
         )
     A = P.entries.copy()
     n = A.shape[0]
-    for k in range(n - 1, 0, -1):
-        s = A[k, :k].sum()
-        if not s > 0:
-            raise RuntimeError(
-                f"state {k} reaches no lower state; the kernel is not irreducible"
-            )
-        A[:k, k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    for hi in range(n, 1, -32):
+        lo = max(hi - 32, 1)
+        for k in range(hi - 1, lo - 1, -1):
+            s = A[k, :k].sum()
+            if not s > 0:
+                raise RuntimeError(
+                    f"state {k} reaches no lower state; the kernel is not irreducible"
+                )
+            A[:k, k] /= s
+            A[:k, lo:k] += np.outer(A[:k, k], A[k, lo:k])
+            A[lo:k, :lo] += np.outer(A[lo:k, k], A[k, :lo])
+        A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
     x = np.zeros(n)
     x[0] = 1.0
     for k in range(1, n):

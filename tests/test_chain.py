@@ -43,6 +43,10 @@ def test_enumeration_size_and_order():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_configs(200, 3, cap=1000)
+    # the default cap keeps two dense kernels (a kernel and its GTH copy) in memory
+    assert len(enumerate_configs(40, 3)) == 12341
+    with pytest.raises(ConfigError, match="above the cap"):
+        enumerate_configs(45, 3)
 
 
 def test_transition_policies_at_extremes():
@@ -205,6 +209,57 @@ def test_stationary_distribution_properties(N, delta, b, h, log_eps):
     assert np.abs(w @ P.entries - w).max() < 1e-10
 
 
+def _stationary_unblocked(P: TransitionMatrix) -> np.ndarray:
+    """Reference: GTH state reduction with one full rank-1 update per state."""
+    A = P.entries.copy()
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        s = A[k, :k].sum()
+        if not s > 0:
+            raise RuntimeError(
+                f"state {k} reaches no lower state; the kernel is not irreducible"
+            )
+        A[:k, k] /= s
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ A[:k, k]
+    return x / x.sum()
+
+
+# (L, N) with at most 165 censuses, so that the 32-state panels, their
+# trailing products and a short last panel above the never-eliminated state 0
+# are all exercised.
+_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(min_value=2, max_value=64)),
+    st.tuples(st.just(2), st.integers(min_value=2, max_value=16)),
+    st.tuples(st.just(3), st.integers(min_value=2, max_value=8)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=_SHAPES,
+    delta=st.floats(min_value=0.0, max_value=0.95),
+    b=st.floats(min_value=1.05, max_value=10.0),
+    h=st.integers(min_value=1, max_value=3),
+    log_eps=st.floats(min_value=-6.0, max_value=math.log10(0.2)),
+)
+@example(shape=(1, 31), delta=0.6, b=3.0, h=1, log_eps=-3.0)  # 32 states: 31 above state 0
+@example(shape=(1, 32), delta=0.6, b=3.0, h=1, log_eps=-3.0)  # 33 states: one full panel
+@example(shape=(1, 64), delta=0.6, b=3.0, h=1, log_eps=-6.0)  # 65 states: two full panels
+def test_blocked_stationary_matches_unblocked(shape, delta, b, h, log_eps):
+    L, N = shape
+    norm = make_norm(N=N, L=L, b=b, delta=delta, epsilon=10.0**log_eps, h=min(h, L))
+    P = build_transition_matrix(norm, enumerate_configs(N, L))
+    ref = _stationary_unblocked(P)
+    w = stationary_distribution(P).weights
+    kept = ref >= 1e-300  # subnormal weights carry no relative accuracy
+    assert (np.abs(w[kept] - ref[kept]) / ref[kept]).max() <= 1e-12
+    assert np.abs(w @ P.entries - w).max() <= 1e-10
+
+
 def test_stationary_rejects_zero_error_kernel():
     norm = make_norm(N=4)
     space = enumerate_configs(4, 3)
@@ -219,6 +274,15 @@ def test_stationary_rejects_reducible_kernel():
     zero = np.zeros((2, 2))
     P = TransitionMatrix(epsilon=0.1, entries=np.block([[block, zero], [zero, block]]))
     with pytest.raises(RuntimeError, match="not irreducible"):
+        stationary_distribution(P)
+
+
+def test_stationary_rejects_reducible_kernel_past_first_panel():
+    # the zero pivot is at state 40, in the second panel, after a trailing product
+    block = np.full((40, 40), 1.0 / 40)
+    zero = np.zeros((40, 40))
+    P = TransitionMatrix(epsilon=0.1, entries=np.block([[block, zero], [zero, block]]))
+    with pytest.raises(RuntimeError, match="state 40 .* not irreducible"):
         stationary_distribution(P)
 
 

@@ -121,11 +121,12 @@ def test_chain_rejects_malformed_numbers(norm_file, tmp_path, overrides):
         ["--eps-ladder", "0.1,nan"],
         ["--eps-ladder", "0.7,0.6"],
         ["--N", "200"],
+        ["--N", "45"],
         ["--eps-ladder", "1e-2,1e-2"],
         ["--eps-ladder", "0"],
     ],
     ids=["ladder-text", "ladder-nan", "ladder-above-half", "N-over-cap",
-         "ladder-not-decreasing", "ladder-zero"],
+         "N-over-dense-cap", "ladder-not-decreasing", "ladder-zero"],
 )
 def test_chain_rejects_bad_flags(norm_file, flags, capsys):
     assert main(["chain", "--config", str(norm_file), *flags]) == 2
