@@ -149,6 +149,33 @@ def _batch_policies(
     return policies, resets
 
 
+def _rank_offsets(N: int, L: int) -> np.ndarray:
+    """Lexicographic-rank table of the census space.
+
+    ``off[j, u, c]`` counts the censuses that agree with a census up to
+    bucket j-1, leave u users for buckets j..L and put fewer than c of them in
+    bucket j.  Summed over j < L, these terms give a census's index in
+    ``enumerate_configs`` (see ``_census_rank``).
+    """
+    off = np.zeros((L, N + 1, N + 1), dtype=np.int64)
+    for j in range(L):
+        parts = L - j  # buckets j+1..L, which share the users bucket j leaves
+        for u in range(N + 1):
+            for c in range(u):
+                off[j, u, c + 1] = off[j, u, c] + math.comb(u - c + parts - 1, parts - 1)
+    return off
+
+
+def _census_rank(off: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Index in ``enumerate_configs`` of each census, one per column of the
+    (L+1, K) integer array ``counts``, from the table of ``_rank_offsets``."""
+    rank, left = np.zeros(counts.shape[1], dtype=np.int64), off.shape[1] - 1
+    for j in range(off.shape[0]):
+        rank += off[j, left, counts[j]]
+        left = left - counts[j]
+    return rank
+
+
 def build_transition_matrix(
     norm: SocialNorm, space: ConfigSpace, *, epsilon: float | None = None
 ) -> TransitionMatrix:
@@ -156,11 +183,15 @@ def build_transition_matrix(
 
     Given the census, each user independently resets to reputation 0 with its
     action's punishment probability and otherwise climbs one step (capped at
-    the top).  Per census, the reset-count vectors k form one array, an axis
-    per occupied bucket over its binomial pmf's support, with probabilities
-    the outer product of the pmfs in reputation order.  k sends sum(k) users
+    the top).  All (census, reset-count vector k) pairs are enumerated at
+    once, one bucket at a time with the last bucket fastest; a pair's
+    probability is the product of its buckets' binomial pmf entries in
+    reputation order, each distinct pmf computed once.  k sends sum(k) users
     to 0 and bucket r's other n_r - k_r one step up (L-1 and L merge at L);
-    one ``np.bincount`` over their ``space.index`` columns fills the row.
+    each destination's column is its lexicographic rank, and one
+    ``np.bincount`` per chunk of about 2**15 pairs fills the rows.  Pairs of
+    probability 0 add nothing, so every entry is the sum the per-census
+    convolution gives, in the same order.
     """
     p = norm.params
     if space.N != p.N or space.L != p.L:
@@ -170,23 +201,40 @@ def build_transition_matrix(
     eps = p.epsilon if epsilon is None else epsilon
     if not 0 <= eps < 0.5:
         raise ConfigError(f"error rate must lie in [0, 0.5), got {eps}")
-    L = p.L
+    N, L, m = p.N, p.L, len(space)
     policies, resets = _batch_policies(norm, space, eps)
-    P = np.zeros((len(space), len(space)))
-    for i, mu in enumerate(space.configs):
-        prob, dest = np.ones(()), np.zeros(L + 1, dtype=np.int64)
-        for rep in np.flatnonzero(mu.counts):
-            n = mu.counts[rep]
-            q = float(resets[i, rep])
-            pmf = np.array([math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
-                            for k in range(n + 1)])
-            k = np.flatnonzero(pmf)
-            step = np.zeros((k.size, L + 1), dtype=np.int64)
-            step[:, 0], step[:, min(L, rep + 1)] = k, n - k
-            prob = np.multiply.outer(prob, pmf[k])
-            dest = dest[..., None, :] + step
-        cols = [space.index[d] for d in map(tuple, dest.reshape(-1, L + 1).tolist())]
-        P[i] = np.bincount(cols, weights=prob.ravel(), minlength=len(space))
+    counts = np.array([mu.counts for mu in space.configs], dtype=np.int64)
+    nq, which = np.unique(
+        np.stack([counts.ravel(), resets.ravel()], axis=1), axis=0, return_inverse=True
+    )
+    n_q = nq[:, 0].astype(np.int64)
+    # Python float powers: numpy's vectorised power may differ in the last bit
+    pmfs = np.array([math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
+                     for n, q in zip(n_q.tolist(), nq[:, 1].tolist())
+                     for k in range(n + 1)])
+    base = (np.cumsum(n_q + 1) - (n_q + 1))[which].reshape(m, L + 1)  # pmf starts
+    off = _rank_offsets(N, L)
+    cum = np.cumsum(np.prod(counts + 1, axis=1))
+    bounds = np.union1d(np.searchsorted(cum, np.arange(2**15, cum[-1], 2**15)), [0, m])
+    P = np.zeros((m, m))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        row, prob = np.arange(lo, hi), np.ones(hi - lo)
+        dest = np.zeros((L + 1, hi - lo), dtype=np.int64)
+        for rep in range(L + 1):
+            n = counts[row, rep]
+            width = n + 1  # reset counts 0..n
+            first = np.cumsum(width) - width
+            k = np.arange(first[-1] + width[-1]) - np.repeat(first, width)
+            at = np.repeat(base[row, rep], width) + k
+            row, n = np.repeat(row, width), np.repeat(n, width)
+            prob = np.repeat(prob, width) * pmfs[at]
+            dest = np.repeat(dest, width, axis=1)
+            dest[0] += k
+            dest[min(L, rep + 1)] += n - k
+        col = _census_rank(off, dest)
+        P[lo:hi] = np.bincount(
+            (row - lo) * m + col, weights=prob, minlength=(hi - lo) * m
+        ).reshape(hi - lo, m)
     return TransitionMatrix(epsilon=eps, entries=P, policies=policies)
 
 
@@ -201,11 +249,16 @@ def stationary_distribution(P: TransitionMatrix) -> StationaryDist:
     relative accuracy at the near-reducible error rates where the kernel's
     off-diagonal mass is of order epsilon.  A back-substitution then recovers
     the weights.  The cost is one O(n^3) pass, whatever epsilon is.
-    Eliminations run in panels of 32 states from the top, as in blocked LU:
-    each step updates only its panel's columns and rows, all that the panel's
-    later pivots read, and the rest of the update is added once per panel as
-    one matrix product.  Every update adds nonnegative products, so the solve
-    stays subtraction-free; only the summation order differs.
+    Eliminations run in panels of 32 states from the top, as in blocked LU.
+    Each step updates only the panel's 32x32 diagonal block; the sums of its
+    rows' entries left of the panel are tracked as a vector, which is all a
+    later pivot reads of them.  The same steps, applied to two identity
+    matrices, record the panel's row and column operations as transforms T
+    and S, and after the panel three matrix products apply them: T to the
+    row strip left of the panel, S to the column strip above it, and then
+    the trailing update of the states still to be eliminated.  Every
+    transform and update is nonnegative, so the solve stays subtraction-free;
+    only the summation order differs from the one-state-at-a-time loop.
 
     Raises ``ValueError`` for a zero-error kernel and ``RuntimeError`` when a
     state cannot reach any lower state in its censored chain, which means the
@@ -219,15 +272,25 @@ def stationary_distribution(P: TransitionMatrix) -> StationaryDist:
     n = A.shape[0]
     for hi in range(n, 1, -32):
         lo = max(hi - 32, 1)
-        for k in range(hi - 1, lo - 1, -1):
-            s = A[k, :k].sum()
+        b = hi - lo
+        # C stacks S, the panel's column transform, above its diagonal block;
+        # R sets T, its row transform, beside the row strip's sums.  Each
+        # step's column operations act on C[:b + k], its row operations on R[:k].
+        C = np.vstack([np.eye(b), A[lo:hi, lo:hi]])
+        R = np.hstack([np.eye(b), A[lo:hi, :lo].sum(axis=1, keepdims=True)])
+        for k in range(b - 1, -1, -1):
+            s = C[b + k, :k].sum() + R[k, b]
             if not s > 0:
                 raise RuntimeError(
-                    f"state {k} reaches no lower state; the kernel is not irreducible"
+                    f"state {lo + k} reaches no lower state; "
+                    "the kernel is not irreducible"
                 )
-            A[:k, k] /= s
-            A[:k, lo:k] += np.outer(A[:k, k], A[k, lo:k])
-            A[lo:k, :lo] += np.outer(A[lo:k, k], A[k, :lo])
+            C[:b + k, k] /= s
+            C[:b + k, :k] += np.outer(C[:b + k, k], C[b + k, :k])
+            R[:k] += np.outer(C[b:b + k, k], R[k])
+        A[lo:hi, lo:hi] = C[b:]
+        A[lo:hi, :lo] = R[:, :b] @ A[lo:hi, :lo]
+        A[:lo, lo:hi] = A[:lo, lo:hi] @ C[:b]
         A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
     x = np.zeros(n)
     x[0] = 1.0
@@ -363,6 +426,22 @@ def _analytic_absorbing_indices(norm: SocialNorm, space: ConfigSpace) -> set[int
     return out
 
 
+def _closed_classes(adj: csr_matrix) -> tuple[tuple[int, ...], ...]:
+    """Closed communicating classes of a directed graph, each listed in
+    increasing state order, the classes sorted.
+
+    A strong component is closed when no edge leaves it: one pass over the
+    nonzeros marks the components with an exit, and a stable sort on the
+    component label groups the remaining states.
+    """
+    _, labels = connected_components(adj, directed=True, connection="strong")
+    row, col = adj.nonzero()
+    leaky = np.isin(labels, labels[row[labels[row] != labels[col]]])
+    closed = np.flatnonzero(~leaky)[np.argsort(labels[~leaky], kind="stable")]
+    classes = np.split(closed, np.flatnonzero(np.diff(labels[closed])) + 1)
+    return tuple(sorted(tuple(c.tolist()) for c in classes))
+
+
 def classify_absorbing(
     norm: SocialNorm, space: ConfigSpace
 ) -> AbsorbingClassification:
@@ -382,15 +461,9 @@ def classify_absorbing(
             "absorbing classification mismatch: "
             f"incentive-only {only_a}, kernel-only {only_n}"
         )
-    adj = csr_matrix(P0.entries > 1e-15)
-    _, labels = connected_components(adj, directed=True, connection="strong")
-    row, col = adj.nonzero()
-    leaky = np.isin(labels, labels[row[labels[row] != labels[col]]])
-    closed = np.flatnonzero(~leaky)[np.argsort(labels[~leaky], kind="stable")]
-    classes = np.split(closed, np.flatnonzero(np.diff(labels[closed])) + 1)
     idx = tuple(sorted(numeric))
     return AbsorbingClassification(
         absorbing=tuple(space.configs[i] for i in idx),
         absorbing_indices=idx,
-        classes=tuple(sorted(tuple(c.tolist()) for c in classes)),
+        classes=_closed_classes(csr_matrix(P0.entries > 1e-15)),
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from normsim import (
     CommunityParams,
@@ -18,7 +19,7 @@ from normsim import (
     stationary_distribution,
     stationary_linear,
 )
-from normsim.chain import _batch_policies
+from normsim.chain import _batch_policies, _census_rank, _closed_classes, _rank_offsets
 from normsim.norms import ConfigError
 
 
@@ -107,12 +108,24 @@ def _kernel_by_convolution(norm, space, eps):
 )
 @example(N=6, L=3, h=1, delta=0.6, b=3.0, eps=0.0)
 @example(N=2, L=40, h=1, delta=0.6, b=3.0, eps=1e-2)  # column lookup on a large L
+# 50 388 (census, reset-count vector) pairs: two build chunks
+@example(N=12, L=3, h=1, delta=0.6, b=3.0, eps=1e-2)
+@example(N=12, L=3, h=1, delta=0.6, b=3.0, eps=0.0)
 def test_kernel_matches_dict_convolution(N, L, h, delta, b, eps):
     assume(h <= L)
     norm = make_norm(N=N, L=L, b=b, delta=delta, h=h)
     space = enumerate_configs(N, L)
     P = build_transition_matrix(norm, space, epsilon=eps)
     assert np.array_equal(P.entries, _kernel_by_convolution(norm, space, eps))
+
+
+def test_census_rank_matches_enumeration():
+    for N in range(1, 13):
+        for L in range(1, 6):
+            space = enumerate_configs(N, L)
+            counts = np.array([cfg.counts for cfg in space.configs]).T
+            rank = _census_rank(_rank_offsets(N, L), counts)
+            assert np.array_equal(rank, np.arange(len(space))), (N, L)
 
 
 @pytest.mark.parametrize("eps", [-1e-3, 0.5, 0.7, math.nan])
@@ -376,6 +389,21 @@ def test_closed_classes_match_reachability(N, L, h, delta, b):
     space = enumerate_configs(N, L)
     P0 = build_transition_matrix(norm, space, epsilon=0.0).entries
     assert classify_absorbing(norm, space).classes == _closed_classes_by_reachability(P0)
+
+
+def test_closed_classes_keep_multi_state_classes_in_state_order():
+    # 60 states: two closed cycles over the states = 0 and = 1 mod 3, and one
+    # leaky cycle over the states = 2 mod 3 that exits into both.  Twenty
+    # members per class, interleaved, so grouping them needs a stable sort.
+    n = 60
+    a, b, t = np.arange(0, n, 3), np.arange(1, n, 3), np.arange(2, n, 3)
+    adj = np.zeros((n, n), dtype=bool)
+    for cycle in (a[::-1], b, t):
+        adj[cycle, np.roll(cycle, -1)] = True
+    adj[t, t - 2] = True
+    adj[t, t - 1] = True
+    classes = _closed_classes(csr_matrix(adj))
+    assert classes == (tuple(a.tolist()), tuple(b.tolist()))
 
 
 def test_absorbing_excludes_full_cooperation_when_impatient():
