@@ -275,7 +275,7 @@ def solve_policy_batch(
     bs: np.ndarray | None = None,
     epsilon: float | None = None,
     max_rounds: int = 200,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact best responses for a batch of users sharing the threshold MDP shape.
 
     etas         (K, L+1) opponent censuses (rows sum to N-1)
@@ -284,8 +284,10 @@ def solve_policy_batch(
                  (the baseline belief otherwise)
     bs           optional (K,) per-user benefit values
 
-    Returns (policies, values), each (K, L+1).  Uses policy iteration with
-    exact evaluation; the fixed point and tie-breaking match
+    Returns (policies, values, resets), each (K, L+1): ``resets[k, r]`` is
+    the probability that playing ``policies[k, r]`` at reputation r resets
+    user k, read from the same model the solver used.  Uses policy iteration
+    with exact evaluation; the fixed point and tie-breaking match
     ``solve_value_iteration`` on threshold actions.  Raises RuntimeError if
     the policies have not settled within ``max_rounds`` rounds.
     """
@@ -325,6 +327,7 @@ def solve_policy_batch(
         # guard against two-cycles between exactly tied policies
         if prev_values is not None and np.abs(values - prev_values).max() < 1e-13:
             policies = new_policies
+            p0 = np.take_along_axis(reset, policies[:, :, None], axis=2)[:, :, 0]
             break
         prev_values = values
         policies = new_policies
@@ -332,4 +335,4 @@ def solve_policy_batch(
         raise RuntimeError(
             f"policy iteration did not settle within {max_rounds} rounds"
         )
-    return policies, values
+    return policies, values, p0

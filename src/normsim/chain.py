@@ -18,9 +18,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .bestresponse import solve_policy_batch
+from .bestresponse import POLICY_TIE_ATOL, solve_policy_batch
+from .design import absorbing_bounds
 from .norms import ConfigError, SocialNorm
-from .payoff import Configuration, model_arrays
+from .payoff import Configuration, opponent_of
 
 DEFAULT_SPACE_CAP = 15_000  # two dense float64 kernels of this size take 3.6 GB
 DEFAULT_EPS_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -131,21 +132,18 @@ def _batch_policies(
     which matches the scalar solver exactly.
     """
     L = norm.params.L
-    counts = np.array([mu.counts for mu in space.configs], dtype=float)
+    counts = np.array([mu.counts for mu in space.configs])
     cfg, rep = np.nonzero(counts)
     pair = np.arange(cfg.size)
-    etas = counts[cfg]
-    etas[pair, rep] -= 1.0
-    solved, _ = solve_policy_batch(
-        norm, etas, np.full(cfg.size, norm.params.delta), epsilon=eps
+    solved, _, played_resets = solve_policy_batch(
+        norm, opponent_of(counts[cfg], rep), np.full(cfg.size, norm.params.delta),
+        epsilon=eps,
     )
-    played = solved[pair, rep]
-    _, _, reset = model_arrays(norm, etas, epsilon=eps)
     compliant = [norm.compliant_threshold(r) for r in range(L + 1)]
     policies = np.tile(compliant, (len(space), 1))
-    policies[cfg, rep] = played
+    policies[cfg, rep] = solved[pair, rep]
     resets = np.zeros((len(space), L + 1))
-    resets[cfg, rep] = reset[pair, rep, played]
+    resets[cfg, rep] = played_resets[pair, rep]
     return policies, resets
 
 
@@ -394,17 +392,17 @@ def _analytic_absorbing_indices(norm: SocialNorm, space: ConfigSpace) -> set[int
 
     Only censuses supported on the extreme reputations can be absorbing.  The
     all-0 census always is; the all-top census is iff delta*b > c.  A mixed
-    census holds iff (a) its bottom group prefers full defection to climbing
-    and (b) its top group either prefers compliance or consists of a single
-    user, whose defection goes unpunished because no good client exists.
+    census with nL users at the top holds iff (a) its bottom group prefers
+    full defection to climbing, nL <= b_upper, and (b) its top group either
+    prefers compliance, nL > b_lower, or is a single user, whose defection
+    goes unpunished because no good client exists.  The bounds are
+    ``design.absorbing_bounds``.  Every comparison treats a gap within
+    ``POLICY_TIE_ATOL`` as a tie, and a tie goes to defection, as in the
+    solvers.
     """
     p = norm.params
-    N, L, h = p.N, p.L, norm.h
-    d, b, c = p.delta, p.b, p.c
-    # a discount whose gain underflows to 0 acts as d = 0: both floors are infinite
-    gain, gain_h = d * (b - c), d**h * (b - c)
-    comply_floor = (1.0 - d) * c / gain if gain > 0 else math.inf
-    defect_floor = 1.0 - (1.0 - d**h) * c / gain_h if gain_h > 0 else -math.inf
+    N, L = p.N, p.L
+    bounds = absorbing_bounds(norm)
     out = set()
     for i, mu in enumerate(space.configs):
         counts = mu.counts
@@ -415,13 +413,11 @@ def _analytic_absorbing_indices(norm: SocialNorm, space: ConfigSpace) -> set[int
             out.add(i)  # full defection sustains itself unconditionally
             continue
         if nL == N:
-            if d * b > c:
+            if p.delta * p.b - p.c > POLICY_TIE_ATOL:
                 out.add(i)
             continue
-        top_stays = nL == 1 or (nL - 1) / (N - 1) > comply_floor
-        # ties go to defection, so the bottom holds at exact indifference
-        bottom_holds = (N - nL - 1) / (N - 1) >= defect_floor
-        if top_stays and bottom_holds:
+        top_stays = nL == 1 or nL - bounds.b_lower > POLICY_TIE_ATOL
+        if top_stays and nL - bounds.b_upper <= POLICY_TIE_ATOL:
             out.add(i)
     return out
 

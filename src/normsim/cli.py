@@ -21,9 +21,9 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import design as design_mod
-from .bestresponse import closed_form_bimodal, solve_value_iteration
+from .bestresponse import bimodal_opponent, closed_form_bimodal, solve_value_iteration
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number, load_norm
-from .payoff import Configuration, OpponentConfig
+from .payoff import OpponentConfig
 from .sim import ExperimentSpec, bridge_occupancy, run_experiment
 
 
@@ -143,21 +143,16 @@ def _verify_closed_form(quick: bool) -> list[str]:
                     norm = SocialNorm(params=params, h=h)
                     for nL in range(N + 1):
                         for rep in (0, 3):
-                            counts = [0, 0, 0, 0]
-                            counts[0], counts[3] = N - nL, nL
-                            if counts[rep] == 0:
-                                continue
-                            mu = Configuration(counts=tuple(counts))
+                            if nL == (N if rep == 0 else 0):
+                                continue  # nobody at reputation rep
                             cf = closed_form_bimodal(norm, N - nL, nL, rep)
-                            eta = counts.copy()
-                            eta[rep] -= 1
                             vi = solve_value_iteration(
-                                norm, OpponentConfig(counts=tuple(eta)), epsilon=0.0
+                                norm, bimodal_opponent(norm, N - nL, nL, rep), epsilon=0.0
                             )
                             if np.abs(vi.values - cf.values).max() > 1e-7:
                                 failures.append(
                                     f"closed form vs iteration at N={N} h={h} "
-                                    f"delta={d} b={ratio} census={mu.counts}"
+                                    f"delta={d} b={ratio} census={(N - nL, 0, 0, nL)}"
                                 )
     return failures
 
@@ -258,7 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # UnicodeDecodeError is a ValueError, so it must be caught first
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

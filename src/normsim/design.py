@@ -8,8 +8,8 @@ asymptotic answer and can be conservative at small N: there the exact census
 chain (``chain.limiting_distribution``) may put its limiting mass on full
 cooperation where the verdict says no, and the exact chain is the authority.
 This module provides the feasibility test, the H solver, the absorbing-census
-bounds used in the basin-of-attraction comparison, and the (delta, c/b)
-feasibility grid.
+bounds (the analytic side of ``chain.classify_absorbing``), and the
+(delta, c/b) feasibility grid.
 """
 
 from __future__ import annotations
@@ -45,14 +45,17 @@ def absorbing_bounds(norm: SocialNorm) -> AbsorbingBounds:
     """Lower/upper cooperator-count bounds for self-sustaining 0/L censuses.
 
     Meaningful when delta * b > c; otherwise the all-cooperator census is not
-    self-sustaining and the caller must interpret the bounds accordingly.
+    self-sustaining and the caller must interpret the bounds accordingly.  A
+    bound whose gain, delta * (b - c) or delta**h * (b - c), is 0 (delta = 0,
+    or a discount that underflows) is +inf, as for myopic users.
     """
     p = norm.params
-    if p.delta <= 0:
-        return AbsorbingBounds(b_lower=math.inf, b_upper=math.inf)
-    lo = (1.0 - p.delta) * p.c / (p.delta * (p.b - p.c)) * (p.N - 1) + 1.0
-    hi = (1.0 - p.delta**norm.h) * p.c / (p.delta**norm.h * (p.b - p.c)) * (p.N - 1)
-    return AbsorbingBounds(b_lower=lo, b_upper=hi)
+
+    def bound(discount: float) -> float:
+        gain = discount * (p.b - p.c)
+        return (1.0 - discount) * p.c / gain * (p.N - 1) if gain > 0 else math.inf
+
+    return AbsorbingBounds(b_lower=bound(p.delta) + 1.0, b_upper=bound(p.delta**norm.h))
 
 
 def _gap(delta: float, b: float, c: float, h: float) -> float:

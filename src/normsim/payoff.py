@@ -7,9 +7,10 @@ serves no one otherwise, while an opponent of reputation 0 serves no one
 with probability 1 - epsilon and complies otherwise.
 
 ``model_arrays`` builds the expected benefit, cost and reset probability
-for a batch of users, each against its own opponent census; every solver
-uses it.  The profile helpers are its single-user views, indexed by the
-user's own reputation (0..L) and its candidate service threshold (0..L+1).
+for a batch of users, each against its own opponent census (``opponent_of``
+removes the users from their censuses); every solver uses it.  The profile
+helpers are its single-user views, indexed by the user's own reputation
+(0..L) and its candidate service threshold (0..L+1).
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class Configuration:
     def N(self) -> int:
         return sum(self.counts)
 
-    @property
-    def L(self) -> int:
-        return len(self.counts) - 1
-
 
 @dataclass(frozen=True)
 class OpponentConfig:
@@ -59,17 +56,21 @@ class OpponentConfig:
         return sum(self.counts)
 
 
-def opponent_of(mu: Configuration, own_rep: int) -> OpponentConfig:
-    """Remove the user itself from the census (a user is never self-matched)."""
-    if not 0 <= own_rep <= mu.L:
-        raise ValueError(f"reputation {own_rep} outside {{0, ..., {mu.L}}}")
-    if mu.counts[own_rep] < 1:
-        raise ValueError(
-            f"no user of reputation {own_rep} in configuration {mu.counts}"
-        )
-    counts = list(mu.counts)
-    counts[own_rep] -= 1
-    return OpponentConfig(counts=tuple(counts))
+def opponent_of(census, own_reps) -> np.ndarray:
+    """Float (K, L+1) opponent censuses of K users: each user's census, one
+    (L+1,) census shared by all or a (K, L+1) row each, less the user itself
+    (a user is never self-matched).  Raises ValueError when a census has
+    nobody at its user's reputation ``own_reps[k]``."""
+    own_reps = np.asarray(own_reps)
+    etas = np.empty((own_reps.size, np.shape(census)[-1]))
+    etas[:] = census
+    rows = np.arange(own_reps.size)
+    if not 0 <= own_reps.min() <= own_reps.max() < etas.shape[1] or (
+        etas[rows, own_reps] < 1
+    ).any():
+        raise ValueError(f"a census has nobody at its user's reputation in {own_reps}")
+    etas[rows, own_reps] -= 1.0
+    return etas
 
 
 @lru_cache(maxsize=None)

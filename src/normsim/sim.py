@@ -19,7 +19,7 @@ import numpy as np
 from .beliefs import BeliefMatrix
 from .bestresponse import solve_policy_batch
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number
-from .payoff import Configuration, _phi_matrix
+from .payoff import Configuration, _phi_matrix, opponent_of
 
 SCHEMA_VERSION = 1
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
@@ -279,11 +279,10 @@ def _observe_batch(state, norm, server_of, served) -> None:
 def _best_thresholds(norm, mu_counts, reps, deltas, *, bs=None, belief_rows=None):
     """Thresholds played at reputations ``reps``, each solved against the
     census with that user removed."""
-    rows = np.arange(reps.size)
-    etas = np.repeat(mu_counts[None, :], reps.size, axis=0)
-    etas[rows, reps] -= 1.0
-    policies, _ = solve_policy_batch(norm, etas, deltas, bs=bs, belief_rows=belief_rows)
-    return policies[rows, reps]
+    policies, _, _ = solve_policy_batch(
+        norm, opponent_of(mu_counts, reps), deltas, bs=bs, belief_rows=belief_rows
+    )
+    return policies[np.arange(reps.size), reps]
 
 
 def run_adaptation(

@@ -168,7 +168,7 @@ def test_batch_solver_matches_scalar_solver():
     deltas = rng.uniform(0.0, 0.9, size=K)
     bs = rng.uniform(1.2, 6.0, size=K)
     for beliefs in (None, rng.dirichlet(np.ones(5), size=(K, 4))):
-        policies, values = solve_policy_batch(
+        policies, values, _ = solve_policy_batch(
             norm, etas.astype(float), deltas, bs=bs, belief_rows=beliefs
         )
         assert len({tuple(row) for row in policies}) >= 3
@@ -189,7 +189,7 @@ def test_batch_solver_raises_when_policies_do_not_settle():
     # iteration cannot reach from its all-defect start in one round
     norm = make_norm(N=11)
     etas = np.array([[0.0, 0.0, 0.0, 10.0]])
-    policies, _ = solve_policy_batch(norm, etas, [0.6])
+    policies, _, _ = solve_policy_batch(norm, etas, [0.6])
     assert (policies[0] != 4).any()
     with pytest.raises(RuntimeError, match="did not settle"):
         solve_policy_batch(norm, etas, [0.6], max_rounds=1)

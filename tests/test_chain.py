@@ -15,6 +15,7 @@ from normsim import (
     classify_absorbing,
     enumerate_configs,
     limiting_distribution,
+    model_arrays,
     sample_trajectory,
     stationary_distribution,
     stationary_linear,
@@ -63,9 +64,18 @@ def test_transition_policies_at_extremes():
 
 def _kernel_by_convolution(norm, space, eps):
     """Reference: each row as a dict convolution of the per-bucket binomial
-    reset counts, one reputation at a time."""
+    reset counts, one reputation at a time.  Each pair's reset is read from
+    the model at the played threshold, not from the solver."""
     L = norm.params.L
-    _, resets = _batch_policies(norm, space, eps)
+    policies, _ = _batch_policies(norm, space, eps)
+    counts = np.array([mu.counts for mu in space.configs], dtype=float)
+    cfg, rep = np.nonzero(counts)
+    pair = np.arange(cfg.size)
+    etas = counts[cfg]
+    etas[pair, rep] -= 1.0
+    _, _, reset = model_arrays(norm, etas, epsilon=eps)
+    resets = np.zeros((len(space), L + 1))
+    resets[cfg, rep] = reset[pair, rep, policies[cfg, rep]]
     P = np.zeros((len(space), len(space)))
     zero = (0,) * (L + 1)
     for i, mu in enumerate(space.configs):
@@ -404,6 +414,51 @@ def test_closed_classes_keep_multi_state_classes_in_state_order():
     adj[t, t - 1] = True
     classes = _closed_classes(csr_matrix(adj))
     assert classes == (tuple(a.tolist()), tuple(b.tolist()))
+
+
+def _check_absorbing_against_kernel(N, L, h, b, delta):
+    """classify_absorbing returns, without raising, the censuses that the
+    zero-error kernel keeps in place."""
+    norm = make_norm(N=N, L=L, b=b, delta=delta, h=h)
+    space = enumerate_configs(N, L)
+    P0 = build_transition_matrix(norm, space, epsilon=0.0).entries
+    kept = tuple(np.flatnonzero(np.diag(P0) >= 1.0 - 1e-12).tolist())
+    assert classify_absorbing(norm, space).absorbing_indices == kept
+
+
+# Each cell puts some 0/L census at exact indifference: its top group between
+# complying and defecting, or its bottom group between defecting and climbing.
+@pytest.mark.parametrize(
+    "N, L, h, b, delta",
+    [(2, 1, 1, 2.5, 0.4), (4, 3, 1, 4.0, 0.5), (3, 3, 2, 4.0, 0.4), (5, 3, 2, 2.0, 0.8)],
+)
+def test_absorbing_classification_at_knife_edges(N, L, h, b, delta):
+    _check_absorbing_against_kernel(N, L, h, b, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(min_value=2, max_value=8),
+    L=st.integers(min_value=1, max_value=3),
+    h=st.integers(min_value=1, max_value=3),
+    b=st.one_of(
+        st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 10.0, 1 / 0.7]),
+        st.floats(min_value=1.05, max_value=10.0),
+    ),
+    nL=st.integers(min_value=1, max_value=7),
+    tie=st.sampled_from(["comply", "defect"]),
+)
+def test_absorbing_classification_on_incentive_ties(N, L, h, b, nL, tie):
+    # delta at which nL top users (c = 1) are indifferent between complying and
+    # defecting, or at which the N - nL bottom users are indifferent between
+    # defecting and climbing: ties go to defection on both sides of the check
+    assume(h <= L and nL < N)
+    if tie == "comply":
+        delta = (N - 1) / ((nL - 1) * (b - 1) + N - 1)
+    else:
+        delta = ((N - 1) / (nL * (b - 1) + N - 1)) ** (1 / h)
+    assume(delta < 1)
+    _check_absorbing_against_kernel(N, L, h, b, delta)
 
 
 def test_absorbing_excludes_full_cooperation_when_impatient():

@@ -75,6 +75,15 @@ def test_simulate_rejects_bad_spec(tmp_path, capsys):
     assert main(["simulate", "--spec", str(notjson)]) == 2
 
 
+@pytest.mark.parametrize("command, flag", [("simulate", "--spec"), ("chain", "--config")])
+def test_unreadable_input_is_a_configuration_error(tmp_path, command, flag, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, binary):  # a directory, then a file that is not UTF-8
+        assert main([command, flag, str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

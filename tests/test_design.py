@@ -35,6 +35,14 @@ def test_absorbing_bounds_myopic_limit():
     assert math.isinf(bounds.b_lower) and math.isinf(bounds.b_upper)
 
 
+def test_absorbing_bounds_underflowing_discount():
+    # delta**h underflows to 0, so the reputation-0 users never look ahead
+    norm = SocialNorm(params=make_params(delta=1e-200), h=2)
+    bounds = absorbing_bounds(norm)
+    assert bounds.b_upper == math.inf
+    assert math.isfinite(bounds.b_lower)
+
+
 def test_feasibility_requires_patience():
     # delta <= c/b rules out every threshold
     params = make_params(delta=0.3, b=3.0, c=1.0)

@@ -4,7 +4,6 @@ import pytest
 from normsim import (
     BeliefMatrix,
     CommunityParams,
-    Configuration,
     OpponentConfig,
     SocialNorm,
     ThresholdStrategy,
@@ -24,18 +23,24 @@ def make_norm(N=5, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, h=1):
 
 
 def test_opponent_of_decrements_own_bucket():
-    mu = Configuration(counts=(2, 0, 0, 3))
-    assert opponent_of(mu, 3).counts == (2, 0, 0, 2)
-    mu2 = Configuration(counts=(1, 0, 0, 1))
-    assert opponent_of(mu2, 0).counts == (0, 0, 0, 1)
+    # one census shared by every user
+    etas = opponent_of([2, 0, 0, 3], [3, 0])
+    assert etas.dtype == float
+    assert etas.tolist() == [[2, 0, 0, 2], [1, 0, 0, 3]]
+    # one census per user
+    etas = opponent_of([[2, 0, 0, 3], [1, 0, 0, 1]], [3, 0])
+    assert etas.tolist() == [[2, 0, 0, 2], [0, 0, 0, 1]]
 
 
 def test_opponent_of_rejects_empty_bucket():
-    mu = Configuration(counts=(0, 1, 1, 1))
     with pytest.raises(ValueError):
-        opponent_of(mu, 0)
+        opponent_of([0, 1, 1, 1], [1, 0])
     with pytest.raises(ValueError):
-        opponent_of(mu, 7)
+        opponent_of([[1, 1, 1, 1], [0, 1, 1, 1]], [0, 0])
+    with pytest.raises(ValueError):
+        opponent_of([0, 1, 1, 1], [7])
+    with pytest.raises(ValueError):  # not read as the top reputation
+        opponent_of([1, 1, 1, 1], [-1])
 
 
 def test_utility_all_compliant_top_reputation():
