@@ -292,42 +292,43 @@ def solve_policy_batch(
     the policies have not settled within ``max_rounds`` rounds.
     """
     L = norm.params.L
+    S = L + 1
     etas = np.asarray(etas, dtype=float)
     K = etas.shape[0]
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (K,))
+    dlt = np.empty(K)
+    dlt[:] = deltas
+    dlt3 = dlt[:, None, None]
     benefit, cost, reset = model_arrays(
         norm, etas, epsilon=epsilon, bs=bs, belief_rows=belief_rows
     )
     reward = benefit[:, :, None] - cost[:, None, :]  # (K, own, a)
-    up = np.minimum(np.arange(L + 1) + 1, L)
+    rr = np.arange(S)
+    up = np.minimum(rr + 1, L)
+    eye = np.eye(S)
+    kk = np.arange(K)[:, None]  # played entries of (K, own, a): arr[kk, rr, policies]
 
-    S = L + 1
     policies = np.full((K, S), L + 1, dtype=np.int64)
-    values = np.zeros((K, S))
     prev_values = None
-    rows = np.arange(S)
     for _ in range(max_rounds):
-        # exact evaluation of the current policies
-        p0 = np.take_along_axis(reset, policies[:, :, None], axis=2)[:, :, 0]
-        r_pi = np.take_along_axis(reward, policies[:, :, None], axis=2)[:, :, 0]
+        # exact evaluation of the current policies: from r the user resets to
+        # 0 or climbs to up[r] >= 1, so each row of T has two distinct entries
+        p0 = reset[kk, rr, policies]
         trans = np.zeros((K, S, S))
-        trans[:, rows, 0] += p0
-        trans[:, rows, up] += 1.0 - p0
-        A = np.eye(S)[None, :, :] - deltas[:, None, None] * trans
-        values = np.linalg.solve(A, r_pi[:, :, None])[:, :, 0]
+        trans[:, :, 0] = p0
+        trans[:, rr, up] = 1.0 - p0
+        A = eye - dlt3 * trans
+        values = np.linalg.solve(A, reward[kk, rr, policies, None])[:, :, 0]
         # greedy improvement, ties to the larger threshold
-        cont = reset * values[:, 0, None, None] + (1.0 - reset) * values[:, up][
-            :, :, None
-        ]
-        q = reward + deltas[:, None, None] * cont
+        cont = reset * values[:, :1, None] + (1.0 - reset) * values[:, up, None]
+        q = reward + dlt3 * cont
         tied = q >= q.max(axis=2, keepdims=True) - POLICY_TIE_ATOL
-        new_policies = (L + 1) - np.argmax(tied[:, :, ::-1], axis=2)
-        if np.array_equal(new_policies, policies):
+        new_policies = (L + 1) - tied[:, :, ::-1].argmax(axis=2)
+        if (new_policies == policies).all():
             break
         # guard against two-cycles between exactly tied policies
         if prev_values is not None and np.abs(values - prev_values).max() < 1e-13:
             policies = new_policies
-            p0 = np.take_along_axis(reset, policies[:, :, None], axis=2)[:, :, 0]
+            p0 = reset[kk, rr, policies]
             break
         prev_values = values
         policies = new_policies

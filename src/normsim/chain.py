@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .bestresponse import POLICY_TIE_ATOL, solve_policy_batch
 from .design import absorbing_bounds
@@ -26,6 +24,11 @@ from .payoff import Configuration, opponent_of
 DEFAULT_SPACE_CAP = 15_000  # two dense float64 kernels of this size take 3.6 GB
 DEFAULT_EPS_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 ROW_SUM_TOL = 1e-12
+# GTH back-substitution starts from x[0] = 1, and at tiny epsilon the weights
+# can span more than the float range above it; past this the weights so far
+# are rescaled so that x[k] = 1, and the smallest underflow to zero instead of
+# the largest overflowing.
+_BACKSUB_RESCALE = 1e200
 
 
 @dataclass(frozen=True)
@@ -294,6 +297,8 @@ def stationary_distribution(P: TransitionMatrix) -> StationaryDist:
     x[0] = 1.0
     for k in range(1, n):
         x[k] = x[:k] @ A[:k, k]
+        if x[k] > _BACKSUB_RESCALE:
+            x[:k + 1] /= x[k]
     w = x / x.sum()
     residual = np.abs(w @ P.entries - w).max()
     if residual > 1e-10:
@@ -422,14 +427,20 @@ def _analytic_absorbing_indices(norm: SocialNorm, space: ConfigSpace) -> set[int
     return out
 
 
-def _closed_classes(adj: csr_matrix) -> tuple[tuple[int, ...], ...]:
-    """Closed communicating classes of a directed graph, each listed in
-    increasing state order, the classes sorted.
+def _closed_classes(adj: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Closed communicating classes of the directed graph with boolean
+    adjacency matrix ``adj``, each listed in increasing state order, the
+    classes sorted.
 
     A strong component is closed when no edge leaves it: one pass over the
     nonzeros marks the components with an exit, and a stable sort on the
-    component label groups the remaining states.
+    component label groups the remaining states.  scipy is imported here, so
+    that the simulation path never loads it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adj = csr_matrix(adj)
     _, labels = connected_components(adj, directed=True, connection="strong")
     row, col = adj.nonzero()
     leaky = np.isin(labels, labels[row[labels[row] != labels[col]]])
@@ -461,5 +472,5 @@ def classify_absorbing(
     return AbsorbingClassification(
         absorbing=tuple(space.configs[i] for i in idx),
         absorbing_indices=idx,
-        classes=_closed_classes(csr_matrix(P0.entries > 1e-15)),
+        classes=_closed_classes(P0.entries > 1e-15),
     )

@@ -33,7 +33,7 @@ class Configuration:
     def __post_init__(self):
         if any(n < 0 for n in self.counts):
             raise ValueError(f"counts must be nonnegative, got {self.counts}")
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
 
     @property
     def N(self) -> int:
@@ -59,17 +59,18 @@ class OpponentConfig:
 def opponent_of(census, own_reps) -> np.ndarray:
     """Float (K, L+1) opponent censuses of K users: each user's census, one
     (L+1,) census shared by all or a (K, L+1) row each, less the user itself
-    (a user is never self-matched).  Raises ValueError when a census has
-    nobody at its user's reputation ``own_reps[k]``."""
+    (a user is never self-matched).  Raises ValueError when a reputation
+    ``own_reps[k]`` lies outside the census or its census has nobody there."""
     own_reps = np.asarray(own_reps)
     etas = np.empty((own_reps.size, np.shape(census)[-1]))
     etas[:] = census
+    if not 0 <= own_reps.min() <= own_reps.max() < etas.shape[1]:
+        raise ValueError(f"reputations {own_reps} outside the census")
     rows = np.arange(own_reps.size)
-    if not 0 <= own_reps.min() <= own_reps.max() < etas.shape[1] or (
-        etas[rows, own_reps] < 1
-    ).any():
+    held = etas[rows, own_reps]
+    if np.count_nonzero(held < 1):
         raise ValueError(f"a census has nobody at its user's reputation in {own_reps}")
-    etas[rows, own_reps] -= 1.0
+    etas[rows, own_reps] = held - 1.0
     return etas
 
 
@@ -88,6 +89,24 @@ def _serve_matrix(L: int) -> np.ndarray:
     a = np.arange(L + 2)[:, None]
     rep = np.arange(L + 1)[None, :]
     return (rep >= a).astype(np.int8)
+
+
+def _mismatch(serve: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """mism[theta, a, r] = 1.0 where action a deviates from the rule for a
+    server of reputation theta and a client of reputation r."""
+    return (serve[None, :, :] != phi[:, None, :]).astype(float)
+
+
+@lru_cache(maxsize=None)
+def _model_constants(L: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only float serve matrix of the threshold actions, phi and their
+    mismatch tensor, which every model build over threshold actions shares."""
+    serve = _serve_matrix(L).astype(float)
+    phi = _phi_matrix(L, h).astype(float)
+    consts = serve, phi, _mismatch(serve, phi)
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts
 
 
 def model_arrays(
@@ -121,15 +140,17 @@ def model_arrays(
         raise ValueError(
             f"opponent censuses must have shape (K, {L + 1}), got {etas.shape}"
         )
-    if (etas.sum(axis=1) != p.N - 1).any():
+    if np.count_nonzero(etas.sum(axis=1) != p.N - 1):
         raise ValueError(f"every opponent census must sum to N-1={p.N - 1}")
     frac = etas / (p.N - 1)
-    thresholds = _serve_matrix(L).astype(float)
-    serve = thresholds if serve is None else np.asarray(serve, dtype=float)
-    phi = _phi_matrix(L, norm.h).astype(float)
-    b = np.broadcast_to(
-        np.asarray(p.b if bs is None else bs, dtype=float), etas.shape[:1]
-    )
+    thresholds, phi, mism = _model_constants(L, norm.h)
+    if serve is None:
+        serve = thresholds
+    else:
+        serve = np.asarray(serve, dtype=float)
+        mism = _mismatch(serve, phi)
+    b = np.empty(etas.shape[0])
+    b[:] = p.b if bs is None else bs
 
     if belief_rows is None:
         comply = np.full(L + 1, 1.0 - eps)
@@ -143,10 +164,7 @@ def model_arrays(
     cost = (p.c / (p.N - 1)) * (etas @ serve.T)
     # A matched client's report punishes the server whenever the realized
     # contribution disagrees with the social rule and the report is correct,
-    # or agrees and the report is flipped.  mism[theta, a, r] marks action a
-    # deviating from the rule for a server of reputation theta and a client
-    # of reputation r.
-    mism = (serve[None, :, :] != phi[:, None, :]).astype(float)
+    # or agrees and the report is flipped (see ``_mismatch``).
     reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
     return benefit, cost, reset
 

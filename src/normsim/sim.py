@@ -205,7 +205,9 @@ def _derangement(rng: np.random.Generator, N: int) -> np.ndarray:
     perm = rng.permutation(N)
     fixed = np.flatnonzero(perm == np.arange(N))
     if fixed.size > 1:
-        perm[fixed] = np.roll(perm[fixed], 1)
+        # cycle the fixed points one place along (perm[fixed] == fixed)
+        perm[fixed[1:]] = fixed[:-1]
+        perm[fixed[0]] = fixed[-1]
     elif fixed.size == 1:
         # swapping with a neighbor cannot create a new self-match
         i = int(fixed[0])
@@ -247,10 +249,9 @@ def run_period(
         _observe_batch(state, norm, server_of, served)
 
     state.rep = new_rep
-    counts = state.census(p.L)
     return PeriodMetrics(
         period=period,
-        configuration=Configuration(counts=tuple(int(n) for n in counts)),
+        configuration=Configuration(counts=state.census(p.L).tolist()),
         social_welfare=welfare,
         services_rendered=services,
     )
@@ -372,7 +373,7 @@ def run_evolution(
     )
     table = None if spec.mode in ("varying-b", "adaptive-belief") else {}
     samples: list[PeriodMetrics] = []
-    mu = Configuration(counts=tuple(int(n) for n in state.census(params.L)))
+    mu = Configuration(counts=state.census(params.L).tolist())
     for period in range(1, spec.periods + 1):
         if spec.mode == "varying-b":
             _redraw_benefits(state, spec, rng)
@@ -385,6 +386,14 @@ def run_evolution(
     return samples, summary
 
 
+def _first_settled(inside: np.ndarray) -> int | None:
+    """Index of the first sample from which every sample is ``inside`` (the
+    one after the last sample outside), or None when the last is outside."""
+    outside = np.flatnonzero(~inside)
+    first = int(outside[-1]) + 1 if outside.size else 0
+    return first if first < inside.size else None
+
+
 def _summarize(spec, norm, state, samples, seed) -> dict:
     L = norm.params.L
     N = norm.params.N
@@ -392,12 +401,8 @@ def _summarize(spec, norm, state, samples, seed) -> dict:
     periods = np.array([m.period for m in samples])
     tail = max(1, len(samples) // 10)
     terminal_mean = float(frac_L[-tail:].mean())
-    conv = None
-    inside = np.abs(frac_L - terminal_mean) <= 0.05
-    for i in range(len(samples)):
-        if inside[i:].all():
-            conv = int(periods[i])
-            break
+    first = _first_settled(np.abs(frac_L - terminal_mean) <= 0.05)
+    conv = None if first is None else int(periods[first])
     summary = {
         "schema_version": SCHEMA_VERSION,
         "mode": spec.mode,
@@ -473,7 +478,7 @@ def bridge_occupancy(
     state = initial_state(norm, rng, initial_reputation="uniform")
     table: dict = {}
     counts = np.zeros(len(space), dtype=np.int64)
-    mu = Configuration(counts=tuple(int(n) for n in state.census(norm.params.L)))
+    mu = Configuration(counts=state.census(norm.params.L).tolist())
     for period in range(1, periods + 1):
         run_adaptation(state, norm, mu, rng, table)
         metrics = run_period(state, norm, rng, period)

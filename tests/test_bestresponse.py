@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from normsim import (
     BeliefMatrix,
@@ -235,3 +237,114 @@ def test_contraction_residual_and_tolerance_validation():
     assert sol.residual <= 1e-10
     with pytest.raises(ValueError):
         solve_value_iteration(norm, eta, tolerance=0.0)
+
+
+def _model_arrays_reference(norm, etas, *, epsilon=None, bs=None, belief_rows=None):
+    """Reference: ``payoff.model_arrays`` on threshold actions as it stood
+    before its constant tensors were cached, with every tensor rebuilt per
+    call."""
+    p = norm.params
+    L = p.L
+    eps = p.epsilon if epsilon is None else epsilon
+    etas = np.asarray(etas, dtype=float)
+    frac = etas / (p.N - 1)
+    serve = (np.arange(L + 1)[None, :] >= np.arange(L + 2)[:, None]).astype(float)
+    phi = np.zeros((L + 1, L + 1))
+    phi[: norm.h, :] = 1.0
+    phi[norm.h :, norm.h :] = 1.0
+    b = np.broadcast_to(
+        np.asarray(p.b if bs is None else bs, dtype=float), etas.shape[:1]
+    )
+    if belief_rows is None:
+        comply = np.full(L + 1, 1.0 - eps)
+        comply[0] = eps
+        benefit = (frac @ (comply[:, None] * phi)) * b[:, None]
+    else:
+        serve_prob = np.asarray(belief_rows, dtype=float) @ serve
+        benefit = np.einsum("kr,krs->ks", etas, serve_prob) * b[:, None] / (p.N - 1)
+    cost = (p.c / (p.N - 1)) * (etas @ serve.T)
+    mism = (serve[None, :, :] != phi[:, None, :]).astype(float)
+    reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
+    return benefit, cost, reset
+
+
+def _solve_policy_batch_reference(
+    norm, etas, deltas, *, belief_rows=None, bs=None, epsilon=None, max_rounds=200
+):
+    """Reference: the batched policy-iteration loop before its per-round
+    gathers, transition build and convergence test were made lean.  Kept
+    frozen so the rewritten solver can be held to it bit for bit."""
+    L = norm.params.L
+    etas = np.asarray(etas, dtype=float)
+    K = etas.shape[0]
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (K,))
+    benefit, cost, reset = _model_arrays_reference(
+        norm, etas, epsilon=epsilon, bs=bs, belief_rows=belief_rows
+    )
+    reward = benefit[:, :, None] - cost[:, None, :]
+    up = np.minimum(np.arange(L + 1) + 1, L)
+    S = L + 1
+    policies = np.full((K, S), L + 1, dtype=np.int64)
+    values = np.zeros((K, S))
+    prev_values = None
+    rows = np.arange(S)
+    for _ in range(max_rounds):
+        p0 = np.take_along_axis(reset, policies[:, :, None], axis=2)[:, :, 0]
+        r_pi = np.take_along_axis(reward, policies[:, :, None], axis=2)[:, :, 0]
+        trans = np.zeros((K, S, S))
+        trans[:, rows, 0] += p0
+        trans[:, rows, up] += 1.0 - p0
+        A = np.eye(S)[None, :, :] - deltas[:, None, None] * trans
+        values = np.linalg.solve(A, r_pi[:, :, None])[:, :, 0]
+        cont = reset * values[:, 0, None, None] + (1.0 - reset) * values[:, up][
+            :, :, None
+        ]
+        q = reward + deltas[:, None, None] * cont
+        tied = q >= q.max(axis=2, keepdims=True) - 1e-9
+        new_policies = (L + 1) - np.argmax(tied[:, :, ::-1], axis=2)
+        if np.array_equal(new_policies, policies):
+            break
+        if prev_values is not None and np.abs(values - prev_values).max() < 1e-13:
+            policies = new_policies
+            p0 = np.take_along_axis(reset, policies[:, :, None], axis=2)[:, :, 0]
+            break
+        prev_values = values
+        policies = new_policies
+    else:
+        raise RuntimeError(f"policy iteration did not settle within {max_rounds} rounds")
+    return policies, values, p0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(min_value=2, max_value=600),
+    L=st.integers(min_value=1, max_value=4),
+    h=st.integers(min_value=1, max_value=4),
+    delta=st.floats(min_value=0.0, max_value=0.95),
+    eps=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.45)),
+    b=st.floats(min_value=1.05, max_value=10.0),
+    K=st.integers(min_value=1, max_value=12),
+    per_row=st.booleans(),
+    adaptive=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_solver_matches_frozen_reference(
+    N, L, h, delta, eps, b, K, per_row, adaptive, seed
+):
+    # Policies and played resets must agree bit for bit.  The rewrite keeps
+    # every floating-point operation of the reference in the same order
+    # (the gathers read the same entries, and the transition matrix sets the
+    # entries the reference added to zeros), so the values are bit-identical
+    # too.
+    assume(h <= L)
+    rng = np.random.default_rng(seed)
+    norm = make_norm(N=N, L=L, b=b, delta=delta, epsilon=eps, h=h)
+    etas = rng.multinomial(N - 1, rng.dirichlet(np.ones(L + 1)), size=K).astype(float)
+    deltas = rng.uniform(0.0, 0.95, size=K) if per_row else delta
+    bs = rng.uniform(1.05, 10.0, size=K) if per_row else None
+    beliefs = rng.dirichlet(np.ones(L + 2), size=(K, L + 1)) if adaptive else None
+    got = solve_policy_batch(norm, etas, deltas, bs=bs, belief_rows=beliefs)
+    want = _solve_policy_batch_reference(norm, etas, deltas, bs=bs, belief_rows=beliefs)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)

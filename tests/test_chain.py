@@ -1,11 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
 
+import normsim
 from normsim import (
     CommunityParams,
     SocialNorm,
@@ -248,6 +253,8 @@ def _stationary_unblocked(P: TransitionMatrix) -> np.ndarray:
     x[0] = 1.0
     for k in range(1, n):
         x[k] = x[:k] @ A[:k, k]
+        if x[k] > 1e200:  # weights spanning more than the float range
+            x[:k + 1] /= x[k]
     return x / x.sum()
 
 
@@ -272,6 +279,7 @@ _SHAPES = st.one_of(
 @example(shape=(1, 31), delta=0.6, b=3.0, h=1, log_eps=-3.0)  # 32 states: 31 above state 0
 @example(shape=(1, 32), delta=0.6, b=3.0, h=1, log_eps=-3.0)  # 33 states: one full panel
 @example(shape=(1, 64), delta=0.6, b=3.0, h=1, log_eps=-6.0)  # 65 states: two full panels
+@example(shape=(1, 58), delta=0.0, b=2.0, h=1, log_eps=-6.0)  # weights span > 1e308
 def test_blocked_stationary_matches_unblocked(shape, delta, b, h, log_eps):
     L, N = shape
     norm = make_norm(N=N, L=L, b=b, delta=delta, epsilon=10.0**log_eps, h=min(h, L))
@@ -401,6 +409,39 @@ def test_closed_classes_match_reachability(N, L, h, delta, b):
     assert classify_absorbing(norm, space).classes == _closed_classes_by_reachability(P0)
 
 
+_SCIPY_PROBE = """
+import json, sys
+from normsim import (CommunityParams, ExperimentSpec, SocialNorm,
+                     classify_absorbing, enumerate_configs, run_experiment)
+run_experiment(ExperimentSpec.from_dict({
+    "mode": "evolution", "N": 30, "L": 3, "b": 3.0, "c": 1.0, "delta": 0.6,
+    "epsilon": 0.05, "gamma": 0.5, "h": 1, "periods": 20, "seed": 0}))
+sim_loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+params = CommunityParams(N=6, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.01)
+classes = classify_absorbing(SocialNorm(params=params, h=1), enumerate_configs(6, 3)).classes
+print(json.dumps({"sim_loaded": sim_loaded, "chain_loaded": "scipy" in sys.modules,
+                  "classes": classes}))
+"""
+
+
+def test_scipy_loads_only_for_the_closed_class_search():
+    # a fresh interpreter: importing normsim and running the engine loads no
+    # scipy module; the closed-class search loads it and finds the classes the
+    # reachability reference does
+    src = str(Path(normsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["sim_loaded"] == []
+    assert doc["chain_loaded"]
+    P0 = build_transition_matrix(make_norm(N=6), enumerate_configs(6, 3), epsilon=0.0)
+    want = _closed_classes_by_reachability(P0.entries)
+    assert tuple(tuple(c) for c in doc["classes"]) == want
+
+
 def test_closed_classes_keep_multi_state_classes_in_state_order():
     # 60 states: two closed cycles over the states = 0 and = 1 mod 3, and one
     # leaky cycle over the states = 2 mod 3 that exits into both.  Twenty
@@ -412,7 +453,7 @@ def test_closed_classes_keep_multi_state_classes_in_state_order():
         adj[cycle, np.roll(cycle, -1)] = True
     adj[t, t - 2] = True
     adj[t, t - 1] = True
-    classes = _closed_classes(csr_matrix(adj))
+    classes = _closed_classes(adj)
     assert classes == (tuple(a.tolist()), tuple(b.tolist()))
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normsim import (
     CommunityParams,
@@ -17,7 +19,7 @@ from normsim import (
 )
 from normsim import sim
 from normsim.chain import build_transition_matrix, enumerate_configs
-from normsim.sim import _derangement, _redraw_benefits, run_adaptation
+from normsim.sim import _derangement, _first_settled, _redraw_benefits, run_adaptation
 
 
 def make_norm(N=20, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, gamma=1.0, h=1):
@@ -91,6 +93,44 @@ def test_derangement_has_no_self_matches():
             perm = _derangement(rng, N)
             assert (perm != np.arange(N)).all()
             assert sorted(perm) == list(range(N))
+
+
+def _derangement_by_roll(rng, N):
+    """Reference: the fixed-point repair as first written, rolling the
+    values at the fixed points one place along."""
+    perm = rng.permutation(N)
+    fixed = np.flatnonzero(perm == np.arange(N))
+    if fixed.size > 1:
+        perm[fixed] = np.roll(perm[fixed], 1)
+    elif fixed.size == 1:
+        i = int(fixed[0])
+        j = (i + 1) % N
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 500])
+def test_derangement_matches_roll_reference(N):
+    # the same permutation and the same draws from the stream, seed by seed
+    for seed in range(2000):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_derangement(rng, N), _derangement_by_roll(ref, N))
+        assert rng.random() == ref.random()
+
+
+def _first_settled_by_scan(inside):
+    """Reference: the quadratic scan over every suffix."""
+    for i in range(len(inside)):
+        if inside[i:].all():
+            return i
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=60))
+def test_first_settled_matches_suffix_scan(inside):
+    inside = np.array(inside, dtype=bool)
+    assert _first_settled(inside) == _first_settled_by_scan(inside)
 
 
 def test_full_cooperation_is_a_fixed_point():
