@@ -6,7 +6,7 @@ feasibility analysis (design), exact census-chain analysis for small
 communities (chain), and a Monte Carlo engine for large ones (sim).
 """
 
-from .beliefs import BeliefMatrix, belief_update, updated_row
+from .beliefs import BeliefMatrix, updated_row
 from .bestresponse import (
     BestResponseSolution,
     ClosedFormSolution,
@@ -95,7 +95,6 @@ __all__ = [
     "ThresholdStrategy",
     "TransitionMatrix",
     "absorbing_bounds",
-    "belief_update",
     "benefit_profile",
     "bridge_occupancy",
     "build_transition_matrix",

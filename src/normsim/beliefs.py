@@ -36,7 +36,8 @@ class BeliefMatrix:
     """Row-stochastic beliefs plus per-row observation counters.
 
     The counter for a row counts how many transactions with servers of that
-    reputation have been observed; it drives the running-average update.
+    reputation have been observed; the next ``updated_row`` call for the row
+    takes it plus one as its ``t``.
     """
 
     rows: np.ndarray
@@ -63,52 +64,27 @@ class BeliefMatrix:
         rows = np.full((L + 1, L + 2), 1.0 / (L + 2))
         return cls(rows=rows)
 
-    def copy(self) -> "BeliefMatrix":
-        return BeliefMatrix(rows=self.rows.copy(), counts=self.counts.copy())
 
-    def observe(self, server_rep: int, own_rep: int, observed_z: int) -> None:
-        """Fold one client-side observation into the row for ``server_rep``."""
-        t = int(self.counts[server_rep]) + 1
-        self.rows[server_rep] = updated_row(
-            self.rows[server_rep], own_rep, observed_z, t
-        )
-        self.counts[server_rep] = t
+def updated_row(rows: np.ndarray, own_rep, observed_z, t) -> np.ndarray:
+    """Running-average update of belief rows after their t-th observation.
 
-
-def updated_row(
-    row: np.ndarray, own_rep: int, observed_z: int, t: int
-) -> np.ndarray:
-    """Running-average update of one belief row after the t-th observation.
-
+    ``rows`` is one row (L+2,) or a batch (K, L+2); ``own_rep``,
+    ``observed_z`` and ``t`` are scalars or length-K arrays, one per row.
     Being served spreads weight z/(own_rep+1) over thresholds 0..own_rep
     (the server's threshold is at most the client's reputation); being
     refused spreads weight (1-z)/(L+1-own_rep) over thresholds above it.
-    The increments total exactly 1, so the row stays stochastic.
+    The increments total exactly 1, so each row stays stochastic.
     """
-    if t < 1:
-        raise ValueError(f"transaction index must be >= 1, got {t}")
-    if observed_z not in (0, 1):
-        raise ValueError(f"observed contribution must be 0 or 1, got {observed_z}")
-    row = np.asarray(row, dtype=float)
-    L = row.shape[0] - 2
-    if not 0 <= own_rep <= L:
-        raise ValueError(f"own reputation {own_rep} outside {{0, ..., {L}}}")
-    inc = np.empty_like(row)
-    inc[: own_rep + 1] = observed_z / (own_rep + 1)
-    inc[own_rep + 1 :] = (1 - observed_z) / (L + 1 - own_rep)
-    return (row * (t - 1) + inc) / t
-
-
-def belief_update(
-    beliefs: BeliefMatrix, server_rep: int, own_rep: int, observed_z: int, t: int
-) -> BeliefMatrix:
-    """Pure-functional variant of :meth:`BeliefMatrix.observe`.
-
-    Returns a new matrix with the row for ``server_rep`` updated as if this
-    were the t-th transaction observed for that row.
-    """
-    rows = beliefs.rows.copy()
-    rows[server_rep] = updated_row(rows[server_rep], own_rep, observed_z, t)
-    counts = beliefs.counts.copy()
-    counts[server_rep] = t
-    return BeliefMatrix(rows=rows, counts=counts)
+    rows = np.asarray(rows, dtype=float)
+    own, z, t = (np.asarray(a)[..., None] for a in (own_rep, observed_z, t))
+    L = rows.shape[-1] - 2
+    if t.min() < 1:
+        raise ValueError(f"transaction index must be >= 1, got {t.min()}")
+    if ((z != 0) & (z != 1)).any():
+        raise ValueError(f"observed contribution must be 0 or 1, got {z.ravel()}")
+    if own.min() < 0 or own.max() > L:
+        raise ValueError(f"own reputation {own.ravel()} outside {{0, ..., {L}}}")
+    inc = np.where(
+        np.arange(L + 2) <= own, z / (own + 1.0), (1.0 - z) / (L + 1.0 - own)
+    )
+    return (rows * (t - 1.0) + inc) / t

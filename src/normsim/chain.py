@@ -3,14 +3,16 @@
 For small communities the census (how many users hold each reputation)
 evolves as a finite Markov chain: every period each user plays its best
 response against the current census and its reputation either advances or
-resets.  This module enumerates the census space, builds the transition
-matrix under best-response play, computes stationary and limiting
-distributions along a ladder of shrinking error rates, and classifies the
-absorbing configurations both analytically and numerically.
+resets.  This module enumerates the census space as one integer array whose
+row for a census is its lexicographic rank, builds the transition matrix
+under best-response play, computes stationary and limiting distributions
+along a ladder of shrinking error rates, and classifies the absorbing
+censuses both analytically and numerically.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +21,7 @@ import numpy as np
 from .bestresponse import POLICY_TIE_ATOL, solve_policy_batch
 from .design import absorbing_bounds
 from .norms import ConfigError, SocialNorm
-from .payoff import Configuration, opponent_of
+from .payoff import opponent_of
 
 DEFAULT_SPACE_CAP = 15_000  # two dense float64 kernels of this size take 3.6 GB
 DEFAULT_EPS_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -33,28 +35,42 @@ _BACKSUB_RESCALE = 1e200
 
 @dataclass(frozen=True)
 class ConfigSpace:
-    """All reputation censuses of a community, in lexicographic order."""
+    """All reputation censuses of N users over reputations 0..L.
+
+    ``counts`` is a read-only (n, L+1) int64 array with one census per row,
+    in lexicographic order, so a census's row is its lexicographic rank;
+    ``rank_offsets`` is the ``_rank_offsets`` table that ``_census_rank``
+    computes that rank from.  N and L determine both arrays, so equality
+    and hashing look at N and L alone.
+    """
 
     N: int
     L: int
-    configs: tuple[Configuration, ...]
-    index: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+    counts: np.ndarray = field(compare=False, repr=False)
+    rank_offsets: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return self.counts.shape[0]
 
     def index_of(self, counts) -> int:
-        return self.index[tuple(int(n) for n in counts)]
+        """Row of one census: L+1 nonnegative integers summing to N."""
+        c = np.asarray(counts, dtype=np.int64)
+        if c.shape != (self.L + 1,) or c.min() < 0 or c.sum() != self.N:
+            raise ValueError(
+                f"not a census of N={self.N} users over reputations 0..{self.L}: "
+                f"{c.tolist()}"
+            )
+        return int(_census_rank(self.rank_offsets, c[:, None])[0])
 
     @property
     def mu0(self) -> int:
-        """Index of the all-at-reputation-0 census."""
-        return self.index_of((self.N,) + (0,) * self.L)
+        """Index of the all-at-reputation-0 census, the last in the order."""
+        return len(self) - 1
 
     @property
     def muN(self) -> int:
-        """Index of the all-at-top-reputation census."""
-        return self.index_of((0,) * self.L + (self.N,))
+        """Index of the all-at-top-reputation census, the first in the order."""
+        return 0
 
 
 @dataclass(frozen=True)
@@ -94,21 +110,15 @@ class StationaryDist:
         object.__setattr__(self, "weights", np.clip(w, 0.0, None) / w.sum())
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def enumerate_configs(N: int, L: int, cap: int = DEFAULT_SPACE_CAP) -> ConfigSpace:
     """Enumerate every census of N users over reputations 0..L.
 
     The space has binomial(N+L, L) members; sizes beyond ``cap`` are refused
     because two dense matrices of that size coexist downstream (a kernel and
-    its GTH copy).  The default admits N <= 42 at L = 3.
+    its GTH copy).  The default admits N <= 42 at L = 3.  The censuses come
+    from stars and bars: each choice of L bar positions among N+L slots,
+    taken in lexicographic order, leaves the gaps between bars as the counts,
+    which are then in lexicographic order too.
     """
     size = math.comb(N + L, L)
     if size > cap:
@@ -116,9 +126,11 @@ def enumerate_configs(N: int, L: int, cap: int = DEFAULT_SPACE_CAP) -> ConfigSpa
             f"census space has {size} members for N={N}, L={L}, above the cap "
             f"{cap}; reduce N (or L) for exact chain analysis"
         )
-    configs = tuple(Configuration(counts=c) for c in _compositions(N, L + 1))
-    index = {cfg.counts: i for i, cfg in enumerate(configs)}
-    return ConfigSpace(N=N, L=L, configs=configs, index=index)
+    bars = np.array(list(itertools.combinations(range(N + L), L)), dtype=np.int64)
+    counts = np.diff(bars, axis=1, prepend=-1, append=N + L) - 1
+    off = _rank_offsets(N, L)
+    counts.flags.writeable = off.flags.writeable = False
+    return ConfigSpace(N=N, L=L, counts=counts, rank_offsets=off)
 
 
 def _batch_policies(
@@ -135,7 +147,7 @@ def _batch_policies(
     which matches the scalar solver exactly.
     """
     L = norm.params.L
-    counts = np.array([mu.counts for mu in space.configs])
+    counts = space.counts
     cfg, rep = np.nonzero(counts)
     pair = np.arange(cfg.size)
     solved, _, played_resets = solve_policy_batch(
@@ -202,9 +214,9 @@ def build_transition_matrix(
     eps = p.epsilon if epsilon is None else epsilon
     if not 0 <= eps < 0.5:
         raise ConfigError(f"error rate must lie in [0, 0.5), got {eps}")
-    N, L, m = p.N, p.L, len(space)
+    L, m = p.L, len(space)
     policies, resets = _batch_policies(norm, space, eps)
-    counts = np.array([mu.counts for mu in space.configs], dtype=np.int64)
+    counts = space.counts
     nq, which = np.unique(
         np.stack([counts.ravel(), resets.ravel()], axis=1), axis=0, return_inverse=True
     )
@@ -214,7 +226,6 @@ def build_transition_matrix(
                      for n, q in zip(n_q.tolist(), nq[:, 1].tolist())
                      for k in range(n + 1)])
     base = (np.cumsum(n_q + 1) - (n_q + 1))[which].reshape(m, L + 1)  # pmf starts
-    off = _rank_offsets(N, L)
     cum = np.cumsum(np.prod(counts + 1, axis=1))
     bounds = np.union1d(np.searchsorted(cum, np.arange(2**15, cum[-1], 2**15)), [0, m])
     P = np.zeros((m, m))
@@ -232,7 +243,7 @@ def build_transition_matrix(
             dest = np.repeat(dest, width, axis=1)
             dest[0] += k
             dest[min(L, rep + 1)] += n - k
-        col = _census_rank(off, dest)
+        col = _census_rank(space.rank_offsets, dest)
         P[lo:hi] = np.bincount(
             (row - lo) * m + col, weights=prob, minlength=(hi - lo) * m
         ).reshape(hi - lo, m)
@@ -387,7 +398,6 @@ def limiting_distribution(
 
 @dataclass(frozen=True)
 class AbsorbingClassification:
-    absorbing: tuple[Configuration, ...]
     absorbing_indices: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]  # closed communicating classes at eps=0
 
@@ -409,11 +419,8 @@ def _analytic_absorbing_indices(norm: SocialNorm, space: ConfigSpace) -> set[int
     N, L = p.N, p.L
     bounds = absorbing_bounds(norm)
     out = set()
-    for i, mu in enumerate(space.configs):
-        counts = mu.counts
-        if any(counts[t] for t in range(1, L)):
-            continue
-        nL = counts[L]
+    two_point = np.flatnonzero(~space.counts[:, 1:L].any(axis=1))
+    for i, nL in zip(two_point.tolist(), space.counts[two_point, L].tolist()):
         if nL == 0:
             out.add(i)  # full defection sustains itself unconditionally
             continue
@@ -462,15 +469,13 @@ def classify_absorbing(
     P0 = build_transition_matrix(norm, space, epsilon=0.0)
     numeric = {int(i) for i in np.flatnonzero(np.diag(P0.entries) >= 1.0 - 1e-12)}
     if analytic != numeric:
-        only_a = sorted(space.configs[i].counts for i in analytic - numeric)
-        only_n = sorted(space.configs[i].counts for i in numeric - analytic)
+        only_a = sorted(tuple(space.counts[i].tolist()) for i in analytic - numeric)
+        only_n = sorted(tuple(space.counts[i].tolist()) for i in numeric - analytic)
         raise RuntimeError(
             "absorbing classification mismatch: "
             f"incentive-only {only_a}, kernel-only {only_n}"
         )
-    idx = tuple(sorted(numeric))
     return AbsorbingClassification(
-        absorbing=tuple(space.configs[i] for i in idx),
-        absorbing_indices=idx,
+        absorbing_indices=tuple(sorted(numeric)),
         classes=_closed_classes(P0.entries > 1e-15),
     )

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invariant violation, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -63,10 +64,7 @@ def _cmd_chain(args) -> int:
     p = norm.params
     N = args.N if args.N is not None else p.N
     if N != p.N:
-        params = CommunityParams(
-            N=N, L=p.L, b=p.b, c=p.c, delta=p.delta, epsilon=p.epsilon, gamma=p.gamma
-        )
-        norm = SocialNorm(params=params, h=norm.h)
+        norm = SocialNorm(params=dataclasses.replace(p, N=N), h=norm.h)
     space = chain_mod.enumerate_configs(N, norm.L)
     ladder = (
         [config_number(e, "eps-ladder entry") for e in args.eps_ladder.split(",")]
@@ -81,12 +79,11 @@ def _cmd_chain(args) -> int:
         "L": norm.L,
         "h": norm.h,
         "eps_ladder": list(result.eps_ladder),
-        "absorbing": [list(c.counts) for c in classification.absorbing],
+        "absorbing": space.counts[list(classification.absorbing_indices)].tolist(),
         "absorbing_classes": [
-            [list(space.configs[i].counts) for i in cls]
-            for cls in classification.classes
+            space.counts[list(cls)].tolist() for cls in classification.classes
         ],
-        "ssc_support": [list(space.configs[i].counts) for i in result.support],
+        "ssc_support": space.counts[list(result.support)].tolist(),
         "omega": {
             f"{eps:g}": [float(w) for w in dist.weights]
             for eps, dist in result.table.items()
@@ -97,9 +94,9 @@ def _cmd_chain(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "chain.json").write_text(json.dumps(doc, indent=2))
         lines = ["config," + ",".join(f"omega_eps_{e:g}" for e in result.eps_ladder)]
-        for i, cfg in enumerate(space.configs):
+        for i, census in enumerate(space.counts.tolist()):
             weights = [f"{result.table[e].weights[i]:.17g}" for e in result.eps_ladder]
-            lines.append('"' + " ".join(map(str, cfg.counts)) + '",' + ",".join(weights))
+            lines.append('"' + " ".join(map(str, census)) + '",' + ",".join(weights))
         (out / "omega.csv").write_text("\n".join(lines) + "\n")
     else:
         json.dump(doc, sys.stdout, indent=2)

@@ -11,12 +11,13 @@ and adaptive belief matrices learned from own transactions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .beliefs import BeliefMatrix
+from .beliefs import BeliefMatrix, updated_row
 from .bestresponse import solve_policy_batch
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number
 from .payoff import Configuration, _phi_matrix, opponent_of
@@ -246,7 +247,7 @@ def run_period(
     services = int(z.sum())
 
     if state.belief_rows is not None:
-        _observe_batch(state, norm, server_of, served)
+        _observe_batch(state, server_of, served)
 
     state.rep = new_rep
     return PeriodMetrics(
@@ -257,23 +258,14 @@ def run_period(
     )
 
 
-def _observe_batch(state, norm, server_of, served) -> None:
+def _observe_batch(state, server_of, served) -> None:
     """Fold every user's one client-side observation into its belief rows."""
-    L = norm.params.L
-    N = state.N
-    users = np.arange(N)
+    users = np.arange(state.N)
     srep = state.rep[server_of]
-    own = state.rep
     t = state.belief_counts[users, srep] + 1
-    rows = state.belief_rows[users, srep]  # (N, L+2) copies
-    cols = np.arange(L + 2)[None, :]
-    low = cols <= own[:, None]
-    inc = np.where(
-        low,
-        served[:, None] / (own[:, None] + 1.0),
-        (1.0 - served[:, None]) / (L + 1.0 - own[:, None]),
+    state.belief_rows[users, srep] = updated_row(
+        state.belief_rows[users, srep], state.rep, served, t
     )
-    state.belief_rows[users, srep] = (rows * (t[:, None] - 1.0) + inc) / t[:, None]
     state.belief_counts[users, srep] = t
 
 
@@ -352,10 +344,7 @@ def run_evolution(
     """Run one full trajectory and return sampled metrics plus a summary."""
     params = spec.params
     if delta is not None:
-        params = CommunityParams(
-            N=params.N, L=params.L, b=params.b, c=params.c,
-            delta=delta, epsilon=params.epsilon, gamma=params.gamma,
-        )
+        params = replace(params, delta=delta)
     norm = SocialNorm(params=params, h=spec.h)
     run_seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(run_seed)
@@ -472,19 +461,24 @@ def bridge_occupancy(
     Runs the full engine (true permutation matching) and tallies how often
     each census in ``space`` is visited after a burn-in, for comparison with
     the exact kernel's stationary distribution.  ``stride`` thins the tally
-    to every stride-th period, which decorrelates consecutive samples.
+    to every stride-th period, which decorrelates consecutive samples.  The
+    loop counts census tuples; each distinct census is located in ``space``
+    once, after it.
     """
     rng = np.random.default_rng(seed)
     state = initial_state(norm, rng, initial_reputation="uniform")
     table: dict = {}
-    counts = np.zeros(len(space), dtype=np.int64)
+    visits: Counter = Counter()
     mu = Configuration(counts=state.census(norm.params.L).tolist())
     for period in range(1, periods + 1):
         run_adaptation(state, norm, mu, rng, table)
         metrics = run_period(state, norm, rng, period)
         mu = metrics.configuration
         if period > burn_in and period % stride == 0:
-            counts[space.index[mu.counts]] += 1
+            visits[mu.counts] += 1
+    counts = np.zeros(len(space), dtype=np.int64)
+    for census, k in visits.items():
+        counts[space.index_of(census)] = k
     return counts
 
 

@@ -151,7 +151,7 @@ def test_03_interior_mass_vanishes_with_errors():
     with criterion(3, "stationary mass off the extreme reputations vanishes"):
         space = enumerate_configs(6, 3)
         interior = np.array(
-            [any(cfg.counts[t] for t in (1, 2)) for cfg in space.configs]
+            [any(cfg[t] for t in (1, 2)) for cfg in space.counts.tolist()]
         )
         ladder = (1e-2, 1e-3, 1e-4, 1e-5)
         for delta in (0.6, 0.3):  # feasible and infeasible parameter cells
@@ -180,7 +180,7 @@ def test_04_design_verdict_matches_chain_support():
                         unique_top = res.support == (space.muN,)
                         assert verdict == unique_top, (
                             N, delta, b, h, verdict,
-                            [space.configs[i].counts for i in res.support],
+                            [tuple(space.counts[i].tolist()) for i in res.support],
                         )
 
 

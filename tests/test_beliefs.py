@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normsim import BeliefMatrix, CommunityParams, SocialNorm, belief_update, updated_row
+from normsim import BeliefMatrix, CommunityParams, SocialNorm, updated_row
 
 
 def make_norm(h=2, L=3):
@@ -87,24 +87,33 @@ def test_rows_stay_stochastic_under_fuzz(data, own_rep, z, t):
     assert (out >= -1e-12).all()
 
 
-def test_observe_tracks_per_row_counters():
-    norm = make_norm(h=1)
-    O = BeliefMatrix.compliant(norm)
-    O.observe(server_rep=2, own_rep=1, observed_z=1)
-    O.observe(server_rep=2, own_rep=1, observed_z=1)
-    O.observe(server_rep=0, own_rep=3, observed_z=0)
-    assert list(O.counts) == [1, 0, 2, 0]
-    assert np.allclose(O.rows.sum(axis=1), 1.0)
+def test_batch_update_matches_one_row_calls():
+    rng = np.random.default_rng(1)
+    raw = rng.random((200, 5))
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    own = rng.integers(4, size=200)
+    z = rng.integers(2, size=200)
+    t = rng.integers(1, 50, size=200)
+    batch = updated_row(rows, own, z, t)
+    for k in range(200):
+        one = updated_row(rows[k], own_rep=int(own[k]), observed_z=int(z[k]), t=int(t[k]))
+        assert np.array_equal(batch[k], one)
+    # one bad entry anywhere in the batch is refused
+    for bad in ({"own_rep": np.where(np.arange(200) == 7, 4, own)},
+                {"observed_z": np.where(np.arange(200) == 7, 2, z)},
+                {"t": np.where(np.arange(200) == 7, 0, t)}):
+        args = {"own_rep": own, "observed_z": z, "t": t} | bad
+        with pytest.raises(ValueError):
+            updated_row(rows, **args)
 
 
-def test_belief_update_is_pure():
-    norm = make_norm(h=1)
-    O = BeliefMatrix.compliant(norm)
-    before = O.rows.copy()
-    O2 = belief_update(O, server_rep=1, own_rep=2, observed_z=0, t=1)
-    assert np.array_equal(O.rows, before)
-    assert not np.array_equal(O2.rows, before)
-    assert O2.counts[1] == 1
+def test_updated_row_is_pure():
+    rows = BeliefMatrix.compliant(make_norm(h=1)).rows
+    before = rows.copy()
+    out = updated_row(rows, own_rep=[2, 0, 1, 3], observed_z=[0, 1, 1, 0], t=1)
+    assert np.array_equal(rows, before)
+    assert not np.array_equal(out, before)
+    assert np.allclose(out.sum(axis=1), 1.0)
 
 
 def test_long_observation_sequence_stays_stochastic():
@@ -112,9 +121,12 @@ def test_long_observation_sequence_stays_stochastic():
     norm = make_norm(h=2)
     O = BeliefMatrix.compliant(norm)
     for _ in range(1000):
-        O.observe(
-            server_rep=int(rng.integers(4)),
+        server_rep = int(rng.integers(4))
+        O.counts[server_rep] += 1
+        O.rows[server_rep] = updated_row(
+            O.rows[server_rep],
             own_rep=int(rng.integers(4)),
             observed_z=int(rng.integers(2)),
+            t=int(O.counts[server_rep]),
         )
     assert np.abs(O.rows.sum(axis=1) - 1.0).max() < 1e-9

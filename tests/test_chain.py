@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -39,12 +40,36 @@ def test_enumeration_size_and_order():
     assert len(space) == 56
     assert len(enumerate_configs(1, 1)) == 2
     assert len(enumerate_configs(3, 2)) == 10
-    counts = [cfg.counts for cfg in space.configs]
+    counts = [tuple(c) for c in space.counts.tolist()]
     assert counts == sorted(counts)  # lexicographic
     assert all(sum(c) == 5 for c in counts)
-    assert space.configs[space.mu0].counts == (5, 0, 0, 0)
-    assert space.configs[space.muN].counts == (0, 0, 0, 5)
+    assert counts[space.mu0] == (5, 0, 0, 0)
+    assert counts[space.muN] == (0, 0, 0, 5)
     assert space.index_of((1, 1, 1, 2)) == counts.index((1, 1, 1, 2))
+
+
+def test_enumeration_matches_product_reference():
+    for N in range(1, 9):
+        for L in range(1, 5):
+            space = enumerate_configs(N, L)
+            want = sorted(c for c in itertools.product(range(N + 1), repeat=L + 1)
+                          if sum(c) == N)
+            assert space.counts.dtype == np.int64 and not space.counts.flags.writeable
+            assert [tuple(c) for c in space.counts.tolist()] == want, (N, L)
+            assert [space.index_of(c) for c in space.counts] == list(range(len(space)))
+            assert space.counts[space.mu0].tolist() == [N] + [0] * L
+            assert space.counts[space.muN].tolist() == [0] * L + [N]
+            assert space == enumerate_configs(N, L)
+            assert hash(space) == hash(enumerate_configs(N, L))
+
+
+@pytest.mark.parametrize(
+    "census", [(1, 1, 1), (1, 1, 1, 1, 1), (6, -1, 0, 0), (1, 1, 1, 1), (5, 0, 0, 1)],
+    ids=["short", "long", "negative", "sum-low", "sum-high"],
+)
+def test_index_of_rejects_non_census(census):
+    with pytest.raises(ValueError, match="not a census"):
+        enumerate_configs(5, 3).index_of(census)
 
 
 def test_enumeration_cap():
@@ -73,7 +98,7 @@ def _kernel_by_convolution(norm, space, eps):
     the model at the played threshold, not from the solver."""
     L = norm.params.L
     policies, _ = _batch_policies(norm, space, eps)
-    counts = np.array([mu.counts for mu in space.configs], dtype=float)
+    counts = space.counts.astype(float)
     cfg, rep = np.nonzero(counts)
     pair = np.arange(cfg.size)
     etas = counts[cfg]
@@ -81,12 +106,14 @@ def _kernel_by_convolution(norm, space, eps):
     _, _, reset = model_arrays(norm, etas, epsilon=eps)
     resets = np.zeros((len(space), L + 1))
     resets[cfg, rep] = reset[pair, rep, policies[cfg, rep]]
+    # columns from a dict over the rows, independent of _census_rank
+    index = {tuple(c): i for i, c in enumerate(space.counts.tolist())}
     P = np.zeros((len(space), len(space)))
     zero = (0,) * (L + 1)
-    for i, mu in enumerate(space.configs):
+    for i, mu in enumerate(space.counts.tolist()):
         dist = {zero: 1.0}
         for rep in range(L + 1):
-            n = mu.counts[rep]
+            n = mu[rep]
             if n == 0:
                 continue
             q = float(resets[i, rep])
@@ -105,7 +132,7 @@ def _kernel_by_convolution(norm, space, eps):
                     nxt[key] = nxt.get(key, 0.0) + prob * pk
             dist = nxt
         for counts, prob in dist.items():
-            P[i, space.index[counts]] = prob
+            P[i, index[counts]] = prob
     return P
 
 
@@ -138,7 +165,7 @@ def test_census_rank_matches_enumeration():
     for N in range(1, 13):
         for L in range(1, 6):
             space = enumerate_configs(N, L)
-            counts = np.array([cfg.counts for cfg in space.configs]).T
+            counts = space.counts.T
             rank = _census_rank(_rank_offsets(N, L), counts)
             assert np.array_equal(rank, np.arange(len(space))), (N, L)
 
@@ -231,7 +258,7 @@ def test_stationary_distribution_properties(N, delta, b, h, log_eps):
     P = build_transition_matrix(norm, space)
     assert np.abs(P.entries.sum(axis=1) - 1.0).max() < 1e-12
     reached = np.unique(np.nonzero(P.entries)[1])
-    assert all(sum(space.configs[j].counts) == N for j in reached)
+    assert (space.counts[reached].sum(axis=1) == N).all()
     w = stationary_distribution(P).weights
     assert np.abs(w - _stationary_by_squaring(P.entries)).max() < 1e-10
     assert np.abs(w @ P.entries - w).max() < 1e-10
@@ -366,7 +393,7 @@ def test_absorbing_classification_with_degenerate_top():
     norm = make_norm(N=11, delta=0.6, b=3.0, c=1.0, h=1)
     space = enumerate_configs(11, 3)
     cls = classify_absorbing(norm, space)
-    got = {cfg.counts for cfg in cls.absorbing}
+    got = {tuple(space.counts[i].tolist()) for i in cls.absorbing_indices}
     assert got == {(11, 0, 0, 0), (10, 0, 0, 1), (0, 0, 0, 11)}
     for i in cls.absorbing_indices:
         assert (i,) in cls.classes

@@ -163,6 +163,16 @@ def test_chain_writes_artifacts(norm_file, tmp_path, capsys):
     lines = (out / "omega.csv").read_text().strip().splitlines()
     assert lines[0].startswith("config,")
     assert len(lines) == 1 + 84  # census space of N=6, L=3
+    # omega.csv lists the censuses in chain.json's order: lexicographic, each
+    # once, and row i carries chain.json's i-th weight on every rung
+    cells = [line.split(",")[0] for line in lines[1:]]
+    assert cells[0] == '"0 0 0 6"' and cells[-1] == '"6 0 0 0"'
+    censuses = [[int(n) for n in cell.strip('"').split()] for cell in cells]
+    assert all(a < b for a, b in zip(censuses, censuses[1:]))
+    assert all(sum(c) == 6 and len(c) == 4 for c in censuses)
+    for col, eps in enumerate(doc["omega"], start=1):
+        assert [float(line.split(",")[col]) for line in lines[1:]] == doc["omega"][eps]
+    assert all(c in censuses for c in doc["ssc_support"] + doc["absorbing"])
 
 
 def test_chain_stdout_and_population_override(norm_file, capsys):

@@ -251,7 +251,8 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
     space = enumerate_configs(8, 3)
     policies = build_transition_matrix(norm, space).policies
     table = {}
-    for i, mu in enumerate(space.configs):
+    for i, row in enumerate(space.counts.tolist()):
+        mu = Configuration(counts=row)
         state = initial_state(norm, np.random.default_rng(0))
         state.rep = np.repeat(np.arange(4), mu.counts)
         run_adaptation(state, norm, mu, np.random.default_rng(1), table)
@@ -271,7 +272,7 @@ def SimState_copy(state):
     )
 
 
-def test_engine_belief_update_matches_reference():
+def test_engine_belief_rows_match_updated_row():
     norm = make_norm(N=8, epsilon=0.1, h=2)
     rng = np.random.default_rng(10)
     state = initial_state(norm, rng, adaptive=True)
