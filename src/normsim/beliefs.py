@@ -8,7 +8,7 @@ plays service threshold l.  Rows are probability distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,31 +33,17 @@ def _check_rows(rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BeliefMatrix:
-    """Row-stochastic beliefs plus per-row observation counters.
-
-    The counter for a row counts how many transactions with servers of that
-    reputation have been observed; the next ``updated_row`` call for the row
-    takes it plus one as its ``t``.
-    """
+    """Row-stochastic beliefs over opponents' service thresholds."""
 
     rows: np.ndarray
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.rows = _check_rows(self.rows)
-        if self.counts is None:
-            self.counts = np.zeros(self.rows.shape[0], dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
 
     @classmethod
     def compliant(cls, norm: SocialNorm) -> "BeliefMatrix":
         """Initial belief: every opponent complies with the social rule."""
-        L, h = norm.params.L, norm.h
-        rows = np.zeros((L + 1, L + 2))
-        for rep in range(L + 1):
-            rows[rep, 0 if rep < h else h] = 1.0
-        return cls(rows=rows)
+        return cls(rows=np.eye(norm.params.L + 2)[norm.compliant])
 
     @classmethod
     def uniform(cls, L: int) -> "BeliefMatrix":

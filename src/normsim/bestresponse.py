@@ -19,7 +19,7 @@ import numpy as np
 
 from .beliefs import BeliefMatrix
 from .norms import SocialNorm
-from .payoff import OpponentConfig, _serve_matrix, model_arrays
+from .payoff import OpponentConfig, model_arrays
 
 DEFAULT_TOLERANCE = 1e-10
 MAX_ITERATIONS = 10**6
@@ -76,22 +76,16 @@ def _tie_break_argmax(
 def _resolve_actions(norm: SocialNorm, action_space) -> tuple[np.ndarray, np.ndarray]:
     """Serve matrix and tie-break preference order for an action space.
 
-    "threshold" gives the L+2 threshold actions; "subset" enumerates all
-    2^(L+1) service sets.  An explicit iterable of serve indicator vectors is
-    also accepted.  Ties prefer the action serving the fewest clients.
+    "threshold" gives the norm's L+2 threshold actions; "subset" enumerates
+    all 2^(L+1) service sets.  Ties prefer the action serving the fewest
+    clients.
     """
-    L = norm.params.L
-    if isinstance(action_space, str):
-        if action_space == "threshold":
-            serve = _serve_matrix(L).copy()
-        elif action_space == "subset":
-            serve = np.array(list(product((0, 1), repeat=L + 1)), dtype=np.int8)
-        else:
-            raise ValueError(f"unknown action space {action_space!r}")
+    if action_space == "threshold":
+        serve = norm.serve
+    elif action_space == "subset":
+        serve = np.array(list(product((0, 1), repeat=norm.params.L + 1)), dtype=np.int8)
     else:
-        serve = np.asarray(list(action_space), dtype=np.int8)
-        if serve.ndim != 2 or serve.shape[1] != L + 1:
-            raise ValueError("explicit actions must be serve vectors of length L+1")
+        raise ValueError(f"unknown action space {action_space!r}")
     # stable order: more services first, so the last tied entry serves fewest
     order = np.argsort(-serve.sum(axis=1), kind="stable")
     return serve, order
@@ -132,7 +126,7 @@ def solve_value_iteration(
     )
     reward = benefit[0][:, None] - cost[0][None, :]
     reset = reset[0]
-    up = np.minimum(np.arange(p.L + 1) + 1, p.L)
+    up = norm.up
     stop = tolerance * (1.0 - dlt) / dlt if dlt > 0 else 0.0
 
     values = np.zeros(p.L + 1)
@@ -303,7 +297,7 @@ def solve_policy_batch(
     )
     reward = benefit[:, :, None] - cost[:, None, :]  # (K, own, a)
     rr = np.arange(S)
-    up = np.minimum(rr + 1, L)
+    up = norm.up
     eye = np.eye(S)
     kk = np.arange(K)[:, None]  # played entries of (K, own, a): arr[kk, rr, policies]
 

@@ -154,8 +154,7 @@ def _batch_policies(
         norm, opponent_of(counts[cfg], rep), np.full(cfg.size, norm.params.delta),
         epsilon=eps,
     )
-    compliant = [norm.compliant_threshold(r) for r in range(L + 1)]
-    policies = np.tile(compliant, (len(space), 1))
+    policies = np.tile(norm.compliant, (len(space), 1))
     policies[cfg, rep] = solved[pair, rep]
     resets = np.zeros((len(space), L + 1))
     resets[cfg, rep] = played_resets[pair, rep]
@@ -242,7 +241,7 @@ def build_transition_matrix(
             prob = np.repeat(prob, width) * pmfs[at]
             dest = np.repeat(dest, width, axis=1)
             dest[0] += k
-            dest[min(L, rep + 1)] += n - k
+            dest[norm.up[rep]] += n - k
         col = _census_rank(space.rank_offsets, dest)
         P[lo:hi] = np.bincount(
             (row - lo) * m + col, weights=prob, minlength=(hi - lo) * m

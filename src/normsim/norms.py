@@ -2,16 +2,22 @@
 
 A community protocol is a pair (social rule, reputation scheme) parameterized
 by a social threshold ``h`` that splits reputations into "bad" (below ``h``)
-and "good" (at or above ``h``).  Everything in this module is an immutable
-value object or a pure function and can be shared freely across workers.
+and "good" (at or above ``h``).  ``SocialNorm`` owns the protocol's rule: it
+builds read-only tables of the prescribed thresholds and contributions, the
+reputation after a matching report, and the threshold actions' service and
+mismatch, once, and every engine reads them from there.  Everything in this
+module is an immutable value object or a pure function and can be shared
+freely across workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -78,16 +84,50 @@ class SocialNorm:
     h = 0 and h = L + 1 are rejected: a rule that treats every reputation
     identically cannot provide differential service and is unenforceable
     among self-interested users.
+
+    The rule's read-only tables, built once from ``params`` and ``h`` (they
+    take no part in equality, hashing or ``dataclasses.replace``):
+
+    compliant  (L+1,) int64: the threshold prescribed at each reputation,
+               0 below h and h at or above
+    up         (L+1,) int64: the reputation after a matching report, one step
+               up and capped at L (a mismatch resets to 0)
+    serve      (L+2, L+1) float: serve[a, client] = 1.0 where threshold
+               action a serves a client of that reputation
+    phi        (L+1, L+1) float: the prescribed contribution
+               phi[server, client], the compliant threshold's service
+    mismatch   (L+1, L+2, L+1) float: ``mismatch_of(serve)``
     """
 
     params: CommunityParams
     h: int
+    compliant: np.ndarray = field(init=False, compare=False, repr=False)
+    up: np.ndarray = field(init=False, compare=False, repr=False)
+    serve: np.ndarray = field(init=False, compare=False, repr=False)
+    phi: np.ndarray = field(init=False, compare=False, repr=False)
+    mismatch: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.h <= self.params.L:
-            raise ConfigError(
-                f"h must be in [1, L={self.params.L}], got {self.h}"
-            )
+        L, h = self.params.L, self.h
+        if not 1 <= h <= L:
+            raise ConfigError(f"h must be in [1, L={L}], got {h}")
+        rep = np.arange(L + 1)
+
+        def own(name, table):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+        own("compliant", np.where(rep < h, 0, h))
+        own("up", np.minimum(rep + 1, L))
+        own("serve", (rep >= np.arange(L + 2)[:, None]).astype(float))
+        own("phi", self.serve[self.compliant])
+        own("mismatch", self.mismatch_of(self.serve))
+
+    def mismatch_of(self, serve: np.ndarray) -> np.ndarray:
+        """mism[theta, a, r] = 1.0 where action a (row a of the (A, L+1)
+        ``serve``) deviates from the rule for a server of reputation theta
+        and a client of reputation r."""
+        return (serve[None, :, :] != self.phi[:, None, :]).astype(float)
 
     @property
     def L(self) -> int:
@@ -101,7 +141,7 @@ class SocialNorm:
     def compliant_threshold(self, rep: int) -> int:
         """Service threshold the social rule prescribes for a user of ``rep``."""
         self._check_rep(rep)
-        return 0 if rep < self.h else self.h
+        return int(self.compliant[rep])
 
     def _check_rep(self, rep: int) -> None:
         if not 0 <= rep <= self.params.L:
@@ -143,9 +183,7 @@ def social_rule(norm: SocialNorm, server_rep: int, client_rep: int) -> int:
     """
     norm._check_rep(server_rep)
     norm._check_rep(client_rep)
-    if server_rep < norm.h:
-        return 1
-    return 1 if client_rep >= norm.h else 0
+    return int(norm.phi[server_rep, client_rep])
 
 
 def reputation_update(
@@ -159,7 +197,7 @@ def reputation_update(
     if reported_z not in (0, 1):
         raise ValueError(f"reported contribution must be 0 or 1, got {reported_z}")
     if reported_z == social_rule(norm, server_rep, client_rep):
-        return min(norm.params.L, server_rep + 1)
+        return int(norm.up[server_rep])
     return 0
 
 

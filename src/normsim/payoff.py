@@ -8,15 +8,16 @@ with probability 1 - epsilon and complies otherwise.
 
 ``model_arrays`` builds the expected benefit, cost and reset probability
 for a batch of users, each against its own opponent census (``opponent_of``
-removes the users from their censuses); every solver uses it.  The profile
-helpers are its single-user views, indexed by the user's own reputation
-(0..L) and its candidate service threshold (0..L+1).
+removes the users from their censuses); every solver uses it.  It builds no
+tables of the rule: the prescribed contributions, the threshold actions'
+service and their mismatch tensor are read from the ``SocialNorm``.  The
+profile helpers are its single-user views, indexed by the user's own
+reputation (0..L) and its candidate service threshold (0..L+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,41 +75,6 @@ def opponent_of(census, own_reps) -> np.ndarray:
     return etas
 
 
-@lru_cache(maxsize=None)
-def _phi_matrix(L: int, h: int) -> np.ndarray:
-    """Prescribed contribution phi[server_rep, client_rep]."""
-    phi = np.zeros((L + 1, L + 1), dtype=np.int8)
-    phi[:h, :] = 1
-    phi[h:, h:] = 1
-    return phi
-
-
-@lru_cache(maxsize=None)
-def _serve_matrix(L: int) -> np.ndarray:
-    """serve[a, client_rep] for threshold actions a = 0..L+1."""
-    a = np.arange(L + 2)[:, None]
-    rep = np.arange(L + 1)[None, :]
-    return (rep >= a).astype(np.int8)
-
-
-def _mismatch(serve: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """mism[theta, a, r] = 1.0 where action a deviates from the rule for a
-    server of reputation theta and a client of reputation r."""
-    return (serve[None, :, :] != phi[:, None, :]).astype(float)
-
-
-@lru_cache(maxsize=None)
-def _model_constants(L: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only float serve matrix of the threshold actions, phi and their
-    mismatch tensor, which every model build over threshold actions shares."""
-    serve = _serve_matrix(L).astype(float)
-    phi = _phi_matrix(L, h).astype(float)
-    consts = serve, phi, _mismatch(serve, phi)
-    for arr in consts:
-        arr.setflags(write=False)
-    return consts
-
-
 def model_arrays(
     norm: SocialNorm,
     etas,
@@ -143,28 +109,27 @@ def model_arrays(
     if np.count_nonzero(etas.sum(axis=1) != p.N - 1):
         raise ValueError(f"every opponent census must sum to N-1={p.N - 1}")
     frac = etas / (p.N - 1)
-    thresholds, phi, mism = _model_constants(L, norm.h)
     if serve is None:
-        serve = thresholds
+        serve, mism = norm.serve, norm.mismatch
     else:
         serve = np.asarray(serve, dtype=float)
-        mism = _mismatch(serve, phi)
+        mism = norm.mismatch_of(serve)
     b = np.empty(etas.shape[0])
     b[:] = p.b if bs is None else bs
 
     if belief_rows is None:
         comply = np.full(L + 1, 1.0 - eps)
         comply[0] = eps  # reputation-0 opponents rarely comply
-        benefit = (frac @ (comply[:, None] * phi)) * b[:, None]
+        benefit = (frac @ (comply[:, None] * norm.phi)) * b[:, None]
     else:
         # serve_prob[k, r, theta] = P(server of rep r serves a client of rep
         # theta) under user k's beliefs
-        serve_prob = np.asarray(belief_rows, dtype=float) @ thresholds
+        serve_prob = np.asarray(belief_rows, dtype=float) @ norm.serve
         benefit = np.einsum("kr,krs->ks", etas, serve_prob) * b[:, None] / (p.N - 1)
     cost = (p.c / (p.N - 1)) * (etas @ serve.T)
     # A matched client's report punishes the server whenever the realized
     # contribution disagrees with the social rule and the report is correct,
-    # or agrees and the report is flipped (see ``_mismatch``).
+    # or agrees and the report is flipped (see ``SocialNorm.mismatch_of``).
     reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
     return benefit, cost, reset
 

@@ -20,9 +20,12 @@ import numpy as np
 from .beliefs import BeliefMatrix, updated_row
 from .bestresponse import solve_policy_batch
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number
-from .payoff import Configuration, _phi_matrix, opponent_of
+from .payoff import Configuration, opponent_of
 
 SCHEMA_VERSION = 1
+# varying-b draws stay above c by this margin, so every service stays
+# socially valuable
+BENEFIT_MARGIN = 1e-6
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
 _SPEC_KEYS = {
     "mode", "N", "L", "b", "c", "delta", "epsilon", "gamma", "h",
@@ -136,6 +139,20 @@ class ExperimentSpec:
             raise ConfigError("periods must be positive")
         if self.sample_stride < 1:
             raise ConfigError("sample_stride must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        # above the floor, each truncated draw is accepted with probability
+        # above 1/2, so ``_redraw_benefits`` ends
+        if self.b_mean is not None and not self.b_mean > self.b_floor:
+            raise ConfigError(
+                f"b_mean must exceed c + {BENEFIT_MARGIN:g}={self.b_floor}, "
+                f"got {self.b_mean}"
+            )
+
+    @property
+    def b_floor(self) -> float:
+        """Lower truncation point of the varying-b benefit draws."""
+        return self.params.c + BENEFIT_MARGIN
 
 
 @dataclass
@@ -183,7 +200,7 @@ def initial_state(
     else:
         raise ValueError(f"unknown initial rule {initial_reputation!r}")
     rep = rep.astype(np.int64)
-    thr = np.where(rep < norm.h, 0, norm.h).astype(np.int64)
+    thr = norm.compliant[rep]
     if deltas is None:
         deltas = np.full(p.N, p.delta)
     belief_rows = belief_counts = None
@@ -236,11 +253,8 @@ def run_period(
     z = (client_rep >= state.thr).astype(np.int64)  # realized, by server
     flips = rng.random(N) < p.epsilon
     reported = np.where(flips, 1 - z, z)
-    phi = _phi_matrix(p.L, norm.h)
-    prescribed = phi[state.rep, client_rep]
-    new_rep = np.where(
-        reported == prescribed, np.minimum(state.rep + 1, p.L), 0
-    ).astype(np.int64)
+    prescribed = norm.phi[state.rep, client_rep]
+    new_rep = np.where(reported == prescribed, norm.up[state.rep], 0)
 
     served = z[server_of]  # z received, by client
     welfare = float((served * (state.bs - p.c)).sum() / N)
@@ -324,7 +338,7 @@ def run_adaptation(
 
 def _redraw_benefits(state, spec, rng) -> None:
     """Per-period benefit draws, truncated below to stay socially valuable."""
-    floor = spec.params.c + 1e-6
+    floor = spec.b_floor
     sd = np.sqrt(spec.b_var)
     draws = rng.normal(spec.b_mean, sd, size=state.N)
     while True:

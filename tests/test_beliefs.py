@@ -18,7 +18,6 @@ def test_compliant_initialization():
     expected[0, 0] = expected[1, 0] = 1.0  # bad opponents serve everyone
     expected[2, 2] = expected[3, 2] = 1.0  # good opponents serve the good
     assert np.array_equal(O.rows, expected)
-    assert O.counts.sum() == 0
 
 
 def test_uniform_initialization_rows_sum_to_one():
@@ -120,13 +119,14 @@ def test_long_observation_sequence_stays_stochastic():
     rng = np.random.default_rng(0)
     norm = make_norm(h=2)
     O = BeliefMatrix.compliant(norm)
+    counts = np.zeros(4, dtype=np.int64)  # observations per server reputation
     for _ in range(1000):
         server_rep = int(rng.integers(4))
-        O.counts[server_rep] += 1
+        counts[server_rep] += 1
         O.rows[server_rep] = updated_row(
             O.rows[server_rep],
             own_rep=int(rng.integers(4)),
             observed_z=int(rng.integers(2)),
-            t=int(O.counts[server_rep]),
+            t=int(counts[server_rep]),
         )
     assert np.abs(O.rows.sum(axis=1) - 1.0).max() < 1e-9

@@ -96,10 +96,14 @@ def test_unreadable_input_is_a_configuration_error(tmp_path, command, flag, caps
         {"mode": "delta-sweep", "delta_grid": [0.5, "x"]},
         {"mode": "mixed", "groups": [{"size": "ten", "delta": 0.5}]},
         {"mode": "mixed", "groups": [7]},
+        {"mode": "varying-b", "b_mean": 0.5, "b_var": 0, "c": 1},
+        {"mode": "varying-b", "b_mean": 1, "b_var": 2, "c": 1},
+        {"seed": -1},
     ],
     ids=[
         "N-text", "N-fraction", "b-inf", "periods-inf", "b_mean-inf", "b_var-nan",
         "delta_grid-text", "group-size-text", "group-not-object",
+        "b_mean-below-c", "b_mean-at-c", "seed-negative",
     ],
 )
 def test_simulate_rejects_malformed_numbers(spec_file, tmp_path, overrides, capsys):
@@ -108,6 +112,11 @@ def test_simulate_rejects_malformed_numbers(spec_file, tmp_path, overrides, caps
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["simulate", "--spec", str(bad)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_seed_flag(spec_file, capsys):
+    assert main(["simulate", "--spec", str(spec_file), "--seed", "-1"]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from normsim import (
@@ -107,6 +109,52 @@ def test_compliant_threshold():
     norm = make_norm(h=2)
     assert [norm.compliant_threshold(r) for r in range(4)] == [0, 0, 2, 2]
     assert norm.defect_threshold == 4
+
+
+def _plain_tables(L, h):
+    """The rule written out entry by entry, independently of SocialNorm."""
+    reps, actions = range(L + 1), range(L + 2)
+    compliant = [0 if r < h else h for r in reps]
+    up = [min(r + 1, L) for r in reps]
+    serve = [[1.0 if c >= a else 0.0 for c in reps] for a in actions]
+    phi = [[1.0 if s < h or c >= h else 0.0 for c in reps] for s in reps]
+    mismatch = [[[float(serve[a][c] != phi[s][c]) for c in reps] for a in actions]
+                for s in reps]
+    return dict(compliant=compliant, up=up, serve=serve, phi=phi, mismatch=mismatch)
+
+
+def test_norm_tables_match_plain_definition():
+    for L in range(1, 7):
+        for h in range(1, L + 1):
+            norm = make_norm(L=L, h=h)
+            for name, want in _plain_tables(L, h).items():
+                table = getattr(norm, name)
+                assert table.tolist() == want, (L, h, name)
+                assert table.dtype == (np.int64 if name in ("compliant", "up") else float)
+                assert not table.flags.writeable, (L, h, name)
+                with pytest.raises(ValueError):
+                    table[(0,) * table.ndim] = 1
+            assert [norm.compliant_threshold(r) for r in range(L + 1)] == norm.compliant.tolist()
+            for server in range(L + 1):
+                for client in range(L + 1):
+                    z = social_rule(norm, server, client)
+                    assert z == norm.phi[server, client]
+                    assert reputation_update(norm, server, client, z) == min(server + 1, L)
+                    assert reputation_update(norm, server, client, 1 - z) == 0
+
+
+def test_norm_equality_and_replace_ignore_then_rebuild_tables():
+    a, b = make_norm(L=4, h=2), make_norm(L=4, h=2)
+    assert a == b and hash(a) == hash(b)
+    assert a != make_norm(L=4, h=3)
+    c = replace(a, h=3)
+    assert c == make_norm(L=4, h=3)
+    assert c.compliant.tolist() == [0, 0, 0, 3, 3]
+    assert c.phi.tolist() == _plain_tables(4, 3)["phi"]
+    assert a.compliant.tolist() == [0, 0, 2, 2, 2]  # the original is untouched
+    assert "phi" not in repr(a)
+    with pytest.raises(ValueError):
+        replace(a, phi=np.zeros((5, 5)))  # tables are not constructor fields
 
 
 def test_norm_from_dict_roundtrip():

@@ -11,10 +11,13 @@ from normsim import (
     Configuration,
     ExperimentSpec,
     SocialNorm,
+    ThresholdStrategy,
     initial_state,
     run_evolution,
     run_experiment,
+    reputation_update,
     run_period,
+    strategy_serves,
     updated_row,
 )
 from normsim import sim
@@ -295,6 +298,32 @@ def test_engine_belief_rows_match_updated_row():
     run_period(state, norm, replay)
     assert np.allclose(state.belief_rows, expected)
     assert np.abs(state.belief_rows.sum(axis=2) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_engine_period_matches_scalar_rule(h):
+    N, L = 40, 3
+    norm = make_norm(N=N, L=L, epsilon=0.3, h=h)
+    rng = np.random.default_rng(20 + h)
+    state = initial_state(norm, rng)
+    assert state.thr.tolist() == [norm.compliant_threshold(int(r)) for r in state.rep]
+    state.thr = rng.integers(0, L + 2, size=N)
+    rep_before = state.rep.copy()
+    # replay the period's draws, server by server, with the scalar rule
+    drive = np.random.default_rng(30 + h)
+    server_of = _derangement(drive, N)
+    flips = drive.random(N) < norm.params.epsilon
+    client_of = np.argsort(server_of)
+    expected = []
+    for j in range(N):
+        client_rep = int(rep_before[client_of[j]])
+        z = strategy_serves(ThresholdStrategy(int(state.thr[j])), client_rep, L)
+        reported = 1 - z if flips[j] else z
+        expected.append(reputation_update(norm, int(rep_before[j]), client_rep, reported))
+    run_period(state, norm, np.random.default_rng(30 + h))
+    assert state.rep.tolist() == expected
+    resets = sum(r == 0 for r in expected)
+    assert 0 < resets < N  # both branches of the update are exercised
 
 
 def test_varying_benefit_draws_stay_above_cost():
