@@ -44,23 +44,13 @@ from .norms import (
     CommunityParams,
     ConfigError,
     SocialNorm,
-    ThresholdStrategy,
     load_norm,
     norm_from_dict,
     reputation_update,
     social_rule,
     strategy_serves,
 )
-from .payoff import (
-    Configuration,
-    OpponentConfig,
-    benefit_profile,
-    cost_profile,
-    expected_one_period_utility,
-    model_arrays,
-    opponent_of,
-    prob_reset,
-)
+from .payoff import model_arrays, opponent_of
 from .sim import (
     ExperimentSpec,
     PeriodMetrics,
@@ -83,28 +73,22 @@ __all__ = [
     "CommunityParams",
     "ConfigError",
     "ConfigSpace",
-    "Configuration",
     "DesignVerdict",
     "ExperimentSpec",
     "LimitingResult",
-    "OpponentConfig",
     "PeriodMetrics",
     "SimState",
     "SocialNorm",
     "StationaryDist",
-    "ThresholdStrategy",
     "TransitionMatrix",
     "absorbing_bounds",
-    "benefit_profile",
     "bridge_occupancy",
     "build_transition_matrix",
     "classify_absorbing",
     "closed_form_bimodal",
     "closed_form_policy",
-    "cost_profile",
     "enumerate_configs",
     "evaluate_design",
-    "expected_one_period_utility",
     "feasibility_test",
     "feasible_region_grid",
     "initial_state",
@@ -113,7 +97,6 @@ __all__ = [
     "model_arrays",
     "norm_from_dict",
     "opponent_of",
-    "prob_reset",
     "reputation_update",
     "run_evolution",
     "run_experiment",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .beliefs import BeliefMatrix
 from .norms import SocialNorm
-from .payoff import OpponentConfig, model_arrays
+from .payoff import model_arrays
 
 DEFAULT_TOLERANCE = 1e-10
 MAX_ITERATIONS = 10**6
@@ -55,35 +55,25 @@ class ClosedFormSolution:
     values: np.ndarray
 
 
-def _tie_break_argmax(
-    q: np.ndarray, prefer: np.ndarray, rng=None, atol: float = POLICY_TIE_ATOL
-) -> np.ndarray:
-    """Row-wise argmax; ties (within ``atol``) go to the action latest in
-    ``prefer`` order, or to a fair coin among tied actions when ``rng`` is
-    given."""
+def _tie_break_argmax(q: np.ndarray, prefer: np.ndarray) -> np.ndarray:
+    """Row-wise argmax; ties (within ``POLICY_TIE_ATOL``) go to the action
+    latest in ``prefer`` order."""
     qp = q[:, prefer]
-    mask = qp >= qp.max(axis=1, keepdims=True) - atol
-    if rng is None:
-        idx = qp.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
-    else:
-        idx = np.empty(q.shape[0], dtype=np.int64)
-        for i in range(q.shape[0]):
-            tied = np.flatnonzero(mask[i])
-            idx[i] = tied[rng.integers(len(tied))] if len(tied) > 1 else tied[0]
-    return prefer[idx]
+    mask = qp >= qp.max(axis=1, keepdims=True) - POLICY_TIE_ATOL
+    return prefer[qp.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)]
 
 
 def _resolve_actions(norm: SocialNorm, action_space) -> tuple[np.ndarray, np.ndarray]:
     """Serve matrix and tie-break preference order for an action space.
 
     "threshold" gives the norm's L+2 threshold actions; "subset" enumerates
-    all 2^(L+1) service sets.  Ties prefer the action serving the fewest
-    clients.
+    all 2^(L+1) service sets.  Both are float.  Ties prefer the action
+    serving the fewest clients.
     """
     if action_space == "threshold":
         serve = norm.serve
     elif action_space == "subset":
-        serve = np.array(list(product((0, 1), repeat=norm.params.L + 1)), dtype=np.int8)
+        serve = np.array(list(product((0.0, 1.0), repeat=norm.params.L + 1)))
     else:
         raise ValueError(f"unknown action space {action_space!r}")
     # stable order: more services first, so the last tied entry serves fewest
@@ -93,7 +83,7 @@ def _resolve_actions(norm: SocialNorm, action_space) -> tuple[np.ndarray, np.nda
 
 def solve_value_iteration(
     norm: SocialNorm,
-    eta: OpponentConfig,
+    eta,
     *,
     action_space="threshold",
     tolerance: float = DEFAULT_TOLERANCE,
@@ -101,15 +91,14 @@ def solve_value_iteration(
     delta: float | None = None,
     epsilon: float | None = None,
     beliefs: BeliefMatrix | None = None,
-    coin_rng=None,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> BestResponseSolution:
-    """Solve the adaptation problem by value iteration against a fixed census.
+    """Solve the adaptation problem by value iteration against a fixed
+    opponent census ``eta`` (L+1 counts summing to N-1).
 
     Stops when the sweep-to-sweep sup-norm change drops below
     tolerance * (1 - delta) / delta, which bounds the optimality gap of the
     returned values by ``tolerance``.  Ties in the greedy policy go to the
-    action serving fewer clients (``coin_rng`` switches this to a fair coin).
+    action serving fewer clients.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -118,8 +107,8 @@ def solve_value_iteration(
     serve, prefer = _resolve_actions(norm, action_space)
     benefit, cost, reset = model_arrays(
         norm,
-        [eta.counts],
-        serve=serve,
+        [eta],
+        serve=None if serve is norm.serve else serve,
         epsilon=epsilon,
         bs=b,
         belief_rows=None if beliefs is None else beliefs.rows[None],
@@ -132,7 +121,7 @@ def solve_value_iteration(
     values = np.zeros(p.L + 1)
     residual = np.inf
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         cont = reset * values[0] + (1.0 - reset) * values[up][:, None]
         q = reward + dlt * cont
         new_values = q.max(axis=1)
@@ -143,12 +132,12 @@ def solve_value_iteration(
             break
     else:
         raise RuntimeError(
-            f"value iteration failed to converge within {max_iterations} sweeps "
+            f"value iteration failed to converge within {MAX_ITERATIONS} sweeps "
             f"(residual {residual:.3e}); this indicates a bug for delta < 1"
         )
 
     return BestResponseSolution(
-        policy=_tie_break_argmax(q, prefer, rng=coin_rng),
+        policy=_tie_break_argmax(q, prefer),
         values=values,
         iterations=iterations,
         residual=residual,
@@ -157,11 +146,15 @@ def solve_value_iteration(
     )
 
 
-def bimodal_opponent(norm: SocialNorm, n0: int, nL: int, own_rep: int) -> OpponentConfig:
+def bimodal_opponent(
+    norm: SocialNorm, n0: int, nL: int, own_rep: int
+) -> tuple[int, ...]:
     """Opponent census seen by a user of ``own_rep`` in a 0/L two-point community."""
     p = norm.params
-    if n0 + nL != p.N:
-        raise ValueError(f"n0 + nL must equal N={p.N}, got {n0 + nL}")
+    if min(n0, nL) < 0 or n0 + nL != p.N:
+        raise ValueError(
+            f"n0 and nL must be nonnegative and sum to N={p.N}, got {n0}, {nL}"
+        )
     if own_rep not in (0, p.L):
         raise ValueError(f"own reputation must be 0 or L={p.L}, got {own_rep}")
     counts = [0] * (p.L + 1)
@@ -169,7 +162,7 @@ def bimodal_opponent(norm: SocialNorm, n0: int, nL: int, own_rep: int) -> Oppone
     if counts[own_rep] < 1:
         raise ValueError(f"no user of reputation {own_rep} in ({n0}, ..., {nL})")
     counts[own_rep] -= 1
-    return OpponentConfig(counts=tuple(counts))
+    return tuple(counts)
 
 
 def closed_form_bimodal(
@@ -184,9 +177,7 @@ def closed_form_bimodal(
     p = norm.params
     L, h, b, c, dlt = p.L, norm.h, p.b, p.c, p.delta
     eta = bimodal_opponent(norm, n0, nL, own_rep)  # validates the census
-    if any(eta.counts[r] for r in range(1, L)):
-        raise ValueError("closed form requires a census supported on {0, L}")
-    p0 = eta.counts[0] / (p.N - 1)
+    p0 = eta[0] / (p.N - 1)
     pL = 1.0 - p0
 
     comply_cut = (dlt * b - c) / (dlt * (b - c)) if dlt > 0 else -np.inf
@@ -220,7 +211,7 @@ def closed_form_policy(norm: SocialNorm, sol: ClosedFormSolution) -> np.ndarray:
 
 def verify_threshold_structure(
     norm: SocialNorm,
-    eta: OpponentConfig,
+    eta,
     tolerance: float = 1e-8,
     **solver_kwargs,
 ) -> tuple[bool, dict | None]:
@@ -255,7 +246,7 @@ def verify_threshold_structure(
             return False, {
                 "reason": "no optimal action is upward-closed",
                 "reputation": rep,
-                "optimal_sets": [tuple(serve[a]) for a in tied],
+                "optimal_sets": [tuple(serve[a].astype(int).tolist()) for a in tied],
             }
     return True, None
 

@@ -24,7 +24,6 @@ from . import chain as chain_mod
 from . import design as design_mod
 from .bestresponse import bimodal_opponent, closed_form_bimodal, solve_value_iteration
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number, load_norm
-from .payoff import OpponentConfig
 from .sim import ExperimentSpec, bridge_occupancy, run_experiment
 
 
@@ -114,8 +113,11 @@ def _cmd_design(args) -> int:
 
 def _cmd_bestresponse(args) -> int:
     norm = load_norm(args.config)
-    eta = OpponentConfig(counts=_parse_counts(args.eta))
-    sol = solve_value_iteration(norm, eta, action_space=args.action_space)
+    eta = _parse_counts(args.eta)
+    try:
+        sol = solve_value_iteration(norm, eta, action_space=args.action_space)
+    except ValueError as exc:  # the census has the wrong length, sign or sum
+        raise ConfigError(f"--eta {args.eta!r}: {exc}") from exc
     doc = {
         "schema_version": 1,
         "policy": [int(a) for a in sol.policy],

@@ -63,23 +63,20 @@ def _gap(delta: float, b: float, c: float, h: float) -> float:
     return delta**h * b - delta ** (h - 1) * c - (1.0 - delta**h) * c * h
 
 
-def feasibility_test(
-    params: CommunityParams, h: int, *, lenient: bool = False
-) -> bool:
+def feasibility_test(params: CommunityParams, h: int) -> bool:
     """Whether threshold ``h`` makes full cooperation the unique long-run outcome.
 
     Requires both delta > c/b and a positive incentive surplus at h.  The
     verdict is this N-free condition; at small N it can be conservative (a
     False where the exact chain still selects full cooperation), and the
-    exact chain is the authority there.  The default comparison is strict;
-    ``lenient`` accepts the boundary case where the surplus is exactly zero.
+    exact chain is the authority there.  The comparison is strict: a
+    surplus of exactly zero is not feasible.
     """
     if not 1 <= h <= params.L:
         raise ValueError(f"h must be in [1, L={params.L}], got {h}")
     if not params.delta > params.c / params.b:
         return False
-    g = _gap(params.delta, params.b, params.c, h)
-    return g >= 0.0 if lenient else g > 0.0
+    return _gap(params.delta, params.b, params.c, h) > 0.0
 
 
 def solve_H(params: CommunityParams, *, tol: float = 1e-9) -> float | None:
@@ -107,9 +104,7 @@ def solve_H(params: CommunityParams, *, tol: float = 1e-9) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def evaluate_design(
-    params: CommunityParams, h: int, *, lenient: bool = False
-) -> DesignVerdict:
+def evaluate_design(params: CommunityParams, h: int) -> DesignVerdict:
     """Full designer verdict for a candidate threshold ``h``.
 
     ``unique_ssc_is_muN`` is ``feasibility_test``'s N-free verdict, so it can
@@ -117,14 +112,12 @@ def evaluate_design(
     """
     delta_ok = params.delta > params.c / params.b
     H = solve_H(params)
-    feasible_hs = [
-        hh for hh in range(1, params.L + 1) if feasibility_test(params, hh, lenient=lenient)
-    ]
+    feasible_hs = [hh for hh in range(1, params.L + 1) if feasibility_test(params, hh)]
     return DesignVerdict(
         delta_ok=delta_ok,
         H=H,
         max_feasible_h=max(feasible_hs) if feasible_hs else None,
-        unique_ssc_is_muN=feasibility_test(params, h, lenient=lenient),
+        unique_ssc_is_muN=feasibility_test(params, h),
     )
 
 

@@ -1,13 +1,16 @@
-"""Protocol primitives: threshold strategies, the social rule and the reputation scheme.
+"""Protocol primitives: the social rule and the reputation scheme.
 
 A community protocol is a pair (social rule, reputation scheme) parameterized
 by a social threshold ``h`` that splits reputations into "bad" (below ``h``)
 and "good" (at or above ``h``).  ``SocialNorm`` owns the protocol's rule: it
 builds read-only tables of the prescribed thresholds and contributions, the
 reputation after a matching report, and the threshold actions' service and
-mismatch, once, and every engine reads them from there.  Everything in this
-module is an immutable value object or a pure function and can be shared
-freely across workers.
+mismatch, once, and every engine reads them from there.  A strategy is a
+service threshold, a plain integer in 0..L+1 (serve the clients whose
+reputation is at least the threshold), and a census is its L+1 counts;
+``payoff.model_arrays`` checks censuses, not this module.  Everything in
+this module is an immutable value object or a pure function and can be
+shared freely across workers.
 """
 
 from __future__ import annotations
@@ -150,29 +153,14 @@ class SocialNorm:
             )
 
 
-@dataclass(frozen=True)
-class ThresholdStrategy:
-    """Serve exactly the clients whose reputation is >= ``threshold``.
-
-    threshold = 0 serves everyone; threshold = L + 1 serves no one.
-    """
-
-    threshold: int
-
-    def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-
-
-def strategy_serves(strategy: ThresholdStrategy, client_rep: int, L: int) -> int:
-    """Contribution level (0 or 1) of ``strategy`` toward a client of ``client_rep``."""
+def strategy_serves(threshold: int, client_rep: int, L: int) -> int:
+    """Contribution level (0 or 1) of the service ``threshold`` toward a
+    client of ``client_rep``: threshold 0 serves everyone, L + 1 no one."""
     if not 0 <= client_rep <= L:
         raise ValueError(f"client reputation {client_rep} outside {{0, ..., {L}}}")
-    if strategy.threshold > L + 1:
-        raise ValueError(
-            f"threshold {strategy.threshold} outside {{0, ..., {L + 1}}}"
-        )
-    return 1 if client_rep >= strategy.threshold else 0
+    if not 0 <= threshold <= L + 1:
+        raise ValueError(f"threshold {threshold} outside {{0, ..., {L + 1}}}")
+    return 1 if client_rep >= threshold else 0
 
 
 def social_rule(norm: SocialNorm, server_rep: int, client_rep: int) -> int:

@@ -6,55 +6,21 @@ reputation complies with the social rule with probability 1 - epsilon and
 serves no one otherwise, while an opponent of reputation 0 serves no one
 with probability 1 - epsilon and complies otherwise.
 
-``model_arrays`` builds the expected benefit, cost and reset probability
-for a batch of users, each against its own opponent census (``opponent_of``
-removes the users from their censuses); every solver uses it.  It builds no
-tables of the rule: the prescribed contributions, the threshold actions'
-service and their mismatch tensor are read from the ``SocialNorm``.  The
-profile helpers are its single-user views, indexed by the user's own
-reputation (0..L) and its candidate service threshold (0..L+1).
+A census is its counts: L+1 integers, the number of users at each
+reputation 0..L.  ``opponent_of`` removes the users themselves from their
+censuses, and ``model_arrays`` builds the expected benefit, cost and reset
+probability for a batch of users, each against its own opponent census; it
+is the one place that checks an opponent census (shape, sign and sum), and
+every solver takes its model from there.  It builds no tables of the rule:
+the prescribed contributions, the threshold actions' service and their
+mismatch tensor are read from the ``SocialNorm``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .beliefs import BeliefMatrix
-from .norms import SocialNorm, ThresholdStrategy
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Community census: counts[rep] users currently hold each reputation."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(n < 0 for n in self.counts):
-            raise ValueError(f"counts must be nonnegative, got {self.counts}")
-        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
-
-    @property
-    def N(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class OpponentConfig:
-    """Census of everybody except the user under consideration."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(n < 0 for n in self.counts):
-            raise ValueError(f"counts must be nonnegative, got {self.counts}")
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
+from .norms import SocialNorm
 
 
 def opponent_of(census, own_reps) -> np.ndarray:
@@ -86,7 +52,7 @@ def model_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected benefit, cost and reset probability for a batch of users.
 
-    etas         (K, L+1) opponent censuses, each summing to N-1
+    etas         (K, L+1) opponent censuses, nonnegative, each summing to N-1
     serve        (A, L+1) serve indicators of the candidate actions; default
                  the L+2 threshold actions 0..L+1
     epsilon      report error rate; default the norm's
@@ -96,7 +62,8 @@ def model_arrays(
 
     Returns benefit (K, L+1) indexed by own reputation, cost (K, A) indexed
     by action, and reset (K, L+1, A) indexed by own reputation and action.
-    Every solver and every profile helper takes the model from here.
+    Raises ValueError for a census of another shape, a negative entry or a
+    row that does not sum to N-1.
     """
     p = norm.params
     L = p.L
@@ -106,8 +73,10 @@ def model_arrays(
         raise ValueError(
             f"opponent censuses must have shape (K, {L + 1}), got {etas.shape}"
         )
-    if np.count_nonzero(etas.sum(axis=1) != p.N - 1):
-        raise ValueError(f"every opponent census must sum to N-1={p.N - 1}")
+    if etas.min(initial=0.0) < 0 or np.count_nonzero(etas.sum(axis=1) != p.N - 1):
+        raise ValueError(
+            f"every opponent census must be nonnegative and sum to N-1={p.N - 1}"
+        )
     frac = etas / (p.N - 1)
     if serve is None:
         serve, mism = norm.serve, norm.mismatch
@@ -132,68 +101,3 @@ def model_arrays(
     # or agrees and the report is flipped (see ``SocialNorm.mismatch_of``).
     reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
     return benefit, cost, reset
-
-
-def benefit_profile(
-    norm: SocialNorm,
-    eta: OpponentConfig,
-    *,
-    b: float | None = None,
-    epsilon: float | None = None,
-    beliefs: BeliefMatrix | None = None,
-) -> np.ndarray:
-    """Expected per-period benefit for each own reputation 0..L.
-
-    With ``beliefs`` given, the probability of being served by an opponent of
-    reputation r is the belief-mixture sum of O[r, l] over thresholds l at or
-    below the user's own reputation; otherwise the baseline belief applies.
-    """
-    rows = None if beliefs is None else beliefs.rows[None]
-    benefit, _, _ = model_arrays(
-        norm, [eta.counts], bs=b, epsilon=epsilon, belief_rows=rows
-    )
-    return benefit[0]
-
-
-def cost_profile(norm: SocialNorm, eta: OpponentConfig) -> np.ndarray:
-    """Expected per-period cost for each own service threshold 0..L+1."""
-    return model_arrays(norm, [eta.counts])[1][0]
-
-
-def reset_profile(
-    norm: SocialNorm, eta: OpponentConfig, *, epsilon: float | None = None
-) -> np.ndarray:
-    """Probability of a reputation reset, indexed [own_rep, action_threshold]."""
-    return model_arrays(norm, [eta.counts], epsilon=epsilon)[2][0]
-
-
-def expected_one_period_utility(
-    norm: SocialNorm,
-    sigma: ThresholdStrategy,
-    own_rep: int,
-    eta: OpponentConfig,
-    *,
-    beliefs: BeliefMatrix | None = None,
-) -> float:
-    """Expected one-period utility: benefit from the matched server minus the
-    cost of serving the matched client under strategy ``sigma``."""
-    L = norm.params.L
-    if not 0 <= own_rep <= L:
-        raise ValueError(f"reputation {own_rep} outside {{0, ..., {L}}}")
-    if not 0 <= sigma.threshold <= L + 1:
-        raise ValueError(f"threshold {sigma.threshold} outside {{0, ..., {L + 1}}}")
-    benefit = benefit_profile(norm, eta, beliefs=beliefs)[own_rep]
-    cost = cost_profile(norm, eta)[sigma.threshold]
-    return float(benefit - cost)
-
-
-def prob_reset(
-    norm: SocialNorm, own_rep: int, eta: OpponentConfig, action: ThresholdStrategy
-) -> float:
-    """Probability that playing ``action`` resets the user's reputation to 0."""
-    L = norm.params.L
-    if not 0 <= own_rep <= L:
-        raise ValueError(f"reputation {own_rep} outside {{0, ..., {L}}}")
-    if not 0 <= action.threshold <= L + 1:
-        raise ValueError(f"threshold {action.threshold} outside {{0, ..., {L + 1}}}")
-    return float(reset_profile(norm, eta)[own_rep, action.threshold])

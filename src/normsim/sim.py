@@ -20,7 +20,7 @@ import numpy as np
 from .beliefs import BeliefMatrix, updated_row
 from .bestresponse import solve_policy_batch
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number
-from .payoff import Configuration, opponent_of
+from .payoff import opponent_of
 
 SCHEMA_VERSION = 1
 # varying-b draws stay above c by this margin, so every service stays
@@ -177,7 +177,7 @@ class SimState:
 @dataclass(frozen=True)
 class PeriodMetrics:
     period: int
-    configuration: Configuration
+    census: tuple[int, ...]  # users at each reputation after the period
     social_welfare: float
     services_rendered: int
 
@@ -266,7 +266,7 @@ def run_period(
     state.rep = new_rep
     return PeriodMetrics(
         period=period,
-        configuration=Configuration(counts=state.census(p.L).tolist()),
+        census=tuple(state.census(p.L).tolist()),
         social_welfare=welfare,
         services_rendered=services,
     )
@@ -295,16 +295,16 @@ def _best_thresholds(norm, mu_counts, reps, deltas, *, bs=None, belief_rows=None
 def run_adaptation(
     state: SimState,
     norm: SocialNorm,
-    mu: Configuration,
+    mu: tuple[int, ...],
     rng: np.random.Generator,
     table: dict | None = None,
 ) -> None:
     """Each user recomputes its best response with probability gamma.
 
-    The best response is solved against the posted census ``mu`` (which
-    counts every user's current reputation) with the user itself removed, at
-    the user's personal discount factor and benefit, and with its own belief
-    matrix when it maintains one.  The user's new threshold is the policy
+    The best response is solved against the posted census ``mu`` (the L+1
+    counts of every user's current reputation, a tuple) with the user itself
+    removed, at the user's personal discount factor and benefit, and with its
+    own belief matrix when it maintains one.  The user's new threshold is the policy
     entry at its current reputation.
 
     ``table`` maps (census, delta) to the thresholds played at each occupied
@@ -315,7 +315,7 @@ def run_adaptation(
     adapt = np.flatnonzero(rng.random(state.N) < norm.params.gamma)
     if adapt.size == 0:
         return
-    mu_counts = np.asarray(mu.counts, dtype=float)
+    mu_counts = np.asarray(mu, dtype=float)
     reps, deltas = state.rep[adapt], state.deltas[adapt]
     if (mu_counts[reps] == 0).any():
         raise ValueError("the census does not count an adapting user's reputation")
@@ -327,11 +327,11 @@ def run_adaptation(
         return
     occupied = np.flatnonzero(mu_counts)
     for delta in np.unique(deltas):
-        thr = table.get((mu.counts, delta))
+        thr = table.get((mu, delta))
         if thr is None:
             thr = np.zeros_like(mu_counts, dtype=np.int64)
             thr[occupied] = _best_thresholds(norm, mu_counts, occupied, delta)
-            table[(mu.counts, delta)] = thr
+            table[(mu, delta)] = thr
         sel = deltas == delta
         state.thr[adapt[sel]] = thr[reps[sel]]
 
@@ -376,13 +376,13 @@ def run_evolution(
     )
     table = None if spec.mode in ("varying-b", "adaptive-belief") else {}
     samples: list[PeriodMetrics] = []
-    mu = Configuration(counts=state.census(params.L).tolist())
+    mu = tuple(state.census(params.L).tolist())
     for period in range(1, spec.periods + 1):
         if spec.mode == "varying-b":
             _redraw_benefits(state, spec, rng)
         run_adaptation(state, norm, mu, rng, table)
         metrics = run_period(state, norm, rng, period)
-        mu = metrics.configuration
+        mu = metrics.census
         if period % spec.sample_stride == 0 or period == spec.periods:
             samples.append(metrics)
     summary = _summarize(spec, norm, state, samples, run_seed)
@@ -400,7 +400,7 @@ def _first_settled(inside: np.ndarray) -> int | None:
 def _summarize(spec, norm, state, samples, seed) -> dict:
     L = norm.params.L
     N = norm.params.N
-    frac_L = np.array([m.configuration.counts[L] / N for m in samples])
+    frac_L = np.array([m.census[L] / N for m in samples])
     periods = np.array([m.period for m in samples])
     tail = max(1, len(samples) // 10)
     terminal_mean = float(frac_L[-tail:].mean())
@@ -411,7 +411,7 @@ def _summarize(spec, norm, state, samples, seed) -> dict:
         "mode": spec.mode,
         "seed": seed,
         "periods": spec.periods,
-        "terminal_configuration": list(samples[-1].configuration.counts),
+        "terminal_configuration": list(samples[-1].census),
         "terminal_fraction_top": float(frac_L[-1]),
         "terminal_mean_fraction_top": terminal_mean,
         "convergence_period": conv,
@@ -483,13 +483,13 @@ def bridge_occupancy(
     state = initial_state(norm, rng, initial_reputation="uniform")
     table: dict = {}
     visits: Counter = Counter()
-    mu = Configuration(counts=state.census(norm.params.L).tolist())
+    mu = tuple(state.census(norm.params.L).tolist())
     for period in range(1, periods + 1):
         run_adaptation(state, norm, mu, rng, table)
         metrics = run_period(state, norm, rng, period)
-        mu = metrics.configuration
+        mu = metrics.census
         if period > burn_in and period % stride == 0:
-            visits[mu.counts] += 1
+            visits[mu] += 1
     counts = np.zeros(len(space), dtype=np.int64)
     for census, k in visits.items():
         counts[space.index_of(census)] = k
@@ -497,13 +497,13 @@ def bridge_occupancy(
 
 
 def _write_timeseries(path: Path, samples: list[PeriodMetrics]) -> None:
-    L = len(samples[0].configuration.counts) - 1
+    L = len(samples[0].census) - 1
     header = ["period"] + [f"n{r}" for r in range(L + 1)] + ["U", "services"]
     lines = [",".join(header)]
     for m in samples:
         row = (
             [str(m.period)]
-            + [str(n) for n in m.configuration.counts]
+            + [str(n) for n in m.census]
             + [f"{m.social_welfare:.17g}", str(m.services_rendered)]
         )
         lines.append(",".join(row))

@@ -17,7 +17,6 @@ from normsim import (
     CommunityParams,
     ExperimentSpec,
     SocialNorm,
-    OpponentConfig,
     build_transition_matrix,
     bridge_occupancy,
     classify_absorbing,
@@ -101,7 +100,7 @@ def test_01_closed_form_matches_value_iteration():
                                 eta = bimodal_opponent(norm, N - nL, nL, rep)
                                 vi = solve_value_iteration(norm, eta, epsilon=0.0)
                                 assert np.abs(vi.values - cf.values).max() < 1e-7
-                                occupied = [r for r in (0, 3) if eta.counts[r] > 0]
+                                occupied = [r for r in (0, 3) if eta[r] > 0]
                                 pol = closed_form_policy(norm, cf)
                                 for own in range(4):
                                     # skip rows where distinct behaviors tie
@@ -133,7 +132,7 @@ def test_02_threshold_policy_structure_fuzz():
                 epsilon=float(rng.uniform(0.0, 0.3)),
             )
             counts = rng.multinomial(N - 1, rng.dirichlet(np.ones(4)))
-            eta = OpponentConfig(counts=tuple(int(x) for x in counts))
+            eta = tuple(int(x) for x in counts)
             # full service-subset solve buys nothing over thresholds and
             # always admits an upward-closed optimal action
             ok, counterexample = verify_threshold_structure(norm, eta)
@@ -220,7 +219,7 @@ def test_06_high_error_prevents_convergence():
         for seed in range(5):
             samples, _ = run_evolution(spec, seed=seed)
             tail = samples[len(samples) // 2 :]
-            shares.extend(m.configuration.counts[3] / 500 for m in tail)
+            shares.extend(m.census[3] / 500 for m in tail)
         bins = np.round(np.array(shares) / 0.05).astype(int)
         _, counts = np.unique(bins, return_counts=True)
         assert counts.max() / counts.sum() <= 0.90, counts

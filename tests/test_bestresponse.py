@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from normsim import (
     BeliefMatrix,
     CommunityParams,
-    OpponentConfig,
     SocialNorm,
     closed_form_bimodal,
     closed_form_policy,
+    model_arrays,
     solve_policy_batch,
     solve_value_iteration,
     verify_threshold_structure,
 )
-from normsim.payoff import reset_profile, benefit_profile, cost_profile
 
 
 def make_norm(N=11, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, h=1):
@@ -33,9 +32,7 @@ def brute_force_values(norm, eta, epsilon=None):
     p = norm.params
     L = p.L
     eps = p.epsilon if epsilon is None else epsilon
-    reset = reset_profile(norm, eta, epsilon=eps)
-    benefit = benefit_profile(norm, eta, epsilon=eps)
-    cost = cost_profile(norm, eta)
+    benefit, cost, reset = (a[0] for a in model_arrays(norm, [eta], epsilon=eps))
     up = np.minimum(np.arange(L + 1) + 1, L)
     best = np.full(L + 1, -np.inf)
     for policy in product(range(L + 2), repeat=L + 1):
@@ -57,7 +54,7 @@ def served_set(threshold, occupied):
 def test_full_compliance_example():
     # patient users facing an all-top census comply and earn (b-c)/(1-delta)
     norm = make_norm()
-    eta = OpponentConfig(counts=(0, 0, 0, 10))
+    eta = (0, 0, 0, 10)
     sol = solve_value_iteration(norm, eta)
     assert np.allclose(sol.values, [2.0, 5.0, 5.0, 5.0], atol=1e-8)
     occupied = (3,)
@@ -69,7 +66,7 @@ def test_full_compliance_example():
 
 def test_all_defector_census_yields_defection():
     norm = make_norm()
-    eta = OpponentConfig(counts=(10, 0, 0, 0))
+    eta = (10, 0, 0, 0)
     sol = solve_value_iteration(norm, eta)
     assert np.allclose(sol.values, 0.0, atol=1e-8)
     assert (sol.policy == 4).all()
@@ -89,8 +86,7 @@ def test_values_match_policy_enumeration_oracle():
             epsilon=float(rng.uniform(0.0, 0.3)),
             h=int(rng.integers(1, 4)),
         )
-        counts = rng.multinomial(N - 1, np.ones(4) / 4)
-        eta = OpponentConfig(counts=tuple(int(x) for x in counts))
+        eta = rng.multinomial(N - 1, np.ones(4) / 4)
         sol = solve_value_iteration(norm, eta)
         oracle = brute_force_values(norm, eta)
         assert np.abs(sol.values - oracle).max() < 1e-7
@@ -109,8 +105,7 @@ def test_closed_form_matches_iteration_on_two_point_censuses():
                                 continue
                             cf = closed_form_bimodal(norm, N - nL, nL, rep)
                             counts[rep] -= 1
-                            eta = OpponentConfig(counts=tuple(counts))
-                            vi = solve_value_iteration(norm, eta, epsilon=0.0)
+                            vi = solve_value_iteration(norm, counts, epsilon=0.0)
                             assert np.abs(vi.values - cf.values).max() < 1e-7
 
 
@@ -128,7 +123,7 @@ def test_closed_form_myopic_users_defect():
     cf = closed_form_bimodal(norm, 11, 0, 0)
     assert cf.good_action == 4
     assert np.allclose(cf.values, 0.0)
-    vi = solve_value_iteration(norm, OpponentConfig(counts=(10, 0, 0, 0)))
+    vi = solve_value_iteration(norm, (10, 0, 0, 0))
     assert (vi.policy == 4).all()
     assert np.allclose(vi.values, 0.0)
 
@@ -141,6 +136,8 @@ def test_closed_form_rejects_interior_mass():
         closed_form_bimodal(norm, 2, 3, 1)  # own reputation not at an endpoint
     with pytest.raises(ValueError):
         closed_form_bimodal(norm, 0, 5, 0)  # own bucket empty
+    with pytest.raises(ValueError):
+        closed_form_bimodal(norm, -1, 6, 3)  # a negative count
 
 
 def test_threshold_structure_on_random_censuses():
@@ -154,8 +151,7 @@ def test_threshold_structure_on_random_censuses():
             epsilon=float(rng.uniform(0.0, 0.25)),
             h=int(rng.integers(1, 4)),
         )
-        counts = rng.multinomial(N - 1, np.ones(4) / 4)
-        eta = OpponentConfig(counts=tuple(int(x) for x in counts))
+        eta = rng.multinomial(N - 1, np.ones(4) / 4)
         ok, counterexample = verify_threshold_structure(norm, eta)
         assert ok, counterexample
 
@@ -177,7 +173,7 @@ def test_batch_solver_matches_scalar_solver():
         for k in range(K):
             sol = solve_value_iteration(
                 norm,
-                OpponentConfig(counts=tuple(int(x) for x in etas[k])),
+                etas[k],
                 delta=float(deltas[k]),
                 b=float(bs[k]),
                 beliefs=None if beliefs is None else BeliefMatrix(rows=beliefs[k]),
@@ -210,8 +206,7 @@ def test_structural_policy_properties():
             epsilon=float(rng.uniform(0.0, 0.3)),
             h=h,
         )
-        counts = rng.multinomial(N - 1, np.ones(4) / 4)
-        eta = OpponentConfig(counts=tuple(int(x) for x in counts))
+        eta = rng.multinomial(N - 1, np.ones(4) / 4)
         sol = solve_value_iteration(norm, eta)
         floor = np.array([norm.compliant_threshold(r) for r in range(4)])
         assert (sol.policy >= floor).all()
@@ -220,18 +215,18 @@ def test_structural_policy_properties():
         assert (np.diff(sol.values) >= -1e-9).all()
 
 
-def test_coin_tie_break_variant():
+def test_action_spaces_share_one_serve_dtype():
     norm = make_norm()
-    eta = OpponentConfig(counts=(0, 0, 0, 10))
-    rng = np.random.default_rng(0)
-    sol = solve_value_iteration(norm, eta, coin_rng=rng)
-    assert ((sol.policy >= 0) & (sol.policy <= 4)).all()
-    assert np.allclose(sol.values, [2.0, 5.0, 5.0, 5.0], atol=1e-8)
+    thr = solve_value_iteration(norm, (1, 2, 3, 4))
+    sub = solve_value_iteration(norm, (1, 2, 3, 4), action_space="subset")
+    assert thr.serve is norm.serve
+    assert sub.serve.dtype == thr.serve.dtype == float
+    assert sub.serve.shape == (16, 4)
 
 
 def test_contraction_residual_and_tolerance_validation():
     norm = make_norm(delta=0.5)
-    eta = OpponentConfig(counts=(5, 0, 0, 5))
+    eta = (5, 0, 0, 5)
     sol = solve_value_iteration(norm, eta, tolerance=1e-10)
     # at delta = 0.5 the stopping rule is exactly the tolerance itself
     assert sol.residual <= 1e-10

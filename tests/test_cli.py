@@ -229,8 +229,11 @@ def test_bestresponse_outputs_policy(norm_file, capsys):
     assert len(doc["policy"]) == 4
     assert len(doc["values"]) == 4
     assert doc["iterations"] >= 1
-    # census that does not sum to N-1
-    assert main(["bestresponse", "--config", str(norm_file), "--eta", "0,0,0,9"]) == 1
+    # a census of the wrong sum, sign or length is a configuration error
+    for eta in ("0,0,0,9", "1,-1,0,5", "1,1,3", "1,1,1,2,0"):
+        code = main(["bestresponse", "--config", str(norm_file), "--eta", eta])
+        assert code == 2, eta
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -57,7 +57,6 @@ def test_solve_H_boundary_case():
     H = solve_H(params)
     assert H == pytest.approx(1.0, abs=1e-6)
     assert not feasibility_test(params, 1)
-    assert feasibility_test(params, 1, lenient=True)
 
 
 def test_solve_H_root_brackets_sign_change():

@@ -8,7 +8,6 @@ from normsim import (
     CommunityParams,
     ConfigError,
     SocialNorm,
-    ThresholdStrategy,
     load_norm,
     norm_from_dict,
     reputation_update,
@@ -94,15 +93,17 @@ def test_reputation_update_resets_on_mismatch():
 
 def test_strategy_serves_threshold_semantics():
     L = 3
-    assert strategy_serves(ThresholdStrategy(0), 0, L) == 1
-    assert strategy_serves(ThresholdStrategy(2), 1, L) == 0
-    assert strategy_serves(ThresholdStrategy(2), 2, L) == 1
+    assert strategy_serves(0, 0, L) == 1
+    assert strategy_serves(2, 1, L) == 0
+    assert strategy_serves(2, 2, L) == 1
     # serve-no-one threshold
-    assert strategy_serves(ThresholdStrategy(L + 1), L, L) == 0
+    assert strategy_serves(L + 1, L, L) == 0
     with pytest.raises(ValueError):
-        strategy_serves(ThresholdStrategy(L + 2), 0, L)
+        strategy_serves(L + 2, 0, L)
     with pytest.raises(ValueError):
-        strategy_serves(ThresholdStrategy(0), L + 1, L)
+        strategy_serves(-1, 0, L)
+    with pytest.raises(ValueError):
+        strategy_serves(0, L + 1, L)
 
 
 def test_compliant_threshold():

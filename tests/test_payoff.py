@@ -4,17 +4,11 @@ import pytest
 from normsim import (
     BeliefMatrix,
     CommunityParams,
-    OpponentConfig,
     SocialNorm,
-    ThresholdStrategy,
-    benefit_profile,
-    cost_profile,
-    expected_one_period_utility,
     model_arrays,
     opponent_of,
-    prob_reset,
+    solve_policy_batch,
 )
-from normsim.payoff import reset_profile
 
 
 def make_norm(N=5, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, h=1):
@@ -46,68 +40,58 @@ def test_opponent_of_rejects_empty_bucket():
 def test_utility_all_compliant_top_reputation():
     # everyone good and compliant: utility is exactly b - c
     norm = make_norm(N=5, h=1, epsilon=0.0)
-    eta = OpponentConfig(counts=(0, 0, 0, 4))
-    u = expected_one_period_utility(norm, ThresholdStrategy(1), 3, eta)
-    assert u == pytest.approx(2.0)
+    benefit, cost, _ = model_arrays(norm, [(0, 0, 0, 4)])
+    assert benefit[0, 3] - cost[0, 1] == pytest.approx(2.0)
 
 
 def test_utility_bad_client_gets_no_benefit():
     norm = make_norm(N=5, h=1, epsilon=0.0)
-    eta = OpponentConfig(counts=(0, 0, 0, 4))
-    u = expected_one_period_utility(norm, ThresholdStrategy(1), 0, eta)
-    assert u == pytest.approx(-1.0)
+    benefit, cost, _ = model_arrays(norm, [(0, 0, 0, 4)])
+    assert benefit[0, 0] - cost[0, 1] == pytest.approx(-1.0)
 
 
 def test_utility_all_defectors_zero():
     norm = make_norm(N=5, h=1, epsilon=0.0)
-    eta = OpponentConfig(counts=(4, 0, 0, 0))
-    u = expected_one_period_utility(norm, ThresholdStrategy(4), 2, eta)
-    assert u == pytest.approx(0.0)
+    benefit, cost, _ = model_arrays(norm, [(4, 0, 0, 0)])
+    assert benefit[0, 2] - cost[0, 4] == pytest.approx(0.0)
 
 
 def test_utility_affine_in_counts():
     norm = make_norm(N=9, h=2, epsilon=0.1)
-    base = OpponentConfig(counts=(2, 2, 2, 2))
-    bumped = OpponentConfig(counts=(1, 2, 2, 3))
+    # base, bumped, and the single-reputation censuses at 0 and at 3
+    etas = [(2, 2, 2, 2), (1, 2, 2, 3), (8, 0, 0, 0), (0, 0, 0, 8)]
+    benefit, cost, _ = model_arrays(norm, etas)
+    u = benefit[:, :, None] - cost[:, None, :]  # [census, own rep, threshold]
     # moving one opponent from rep 0 to rep 3 changes utility by the
     # difference of the per-opponent coefficients
-    for rep in range(4):
-        for a in range(5):
-            u1 = expected_one_period_utility(norm, ThresholdStrategy(a), rep, base)
-            u2 = expected_one_period_utility(norm, ThresholdStrategy(a), rep, bumped)
-            single0 = OpponentConfig(counts=(8, 0, 0, 0))
-            single3 = OpponentConfig(counts=(0, 0, 0, 8))
-            c0 = expected_one_period_utility(norm, ThresholdStrategy(a), rep, single0)
-            c3 = expected_one_period_utility(norm, ThresholdStrategy(a), rep, single3)
-            assert u2 - u1 == pytest.approx((c3 - c0) / 8, abs=1e-12)
+    assert np.allclose(u[1] - u[0], (u[3] - u[2]) / 8, rtol=1e-6, atol=1e-12)
 
 
 def test_prob_reset_compliant_action_is_epsilon():
     norm = make_norm(N=9, h=2, epsilon=0.07)
-    eta = OpponentConfig(counts=(3, 1, 2, 2))
+    reset = model_arrays(norm, [(3, 1, 2, 2)])[2][0]
     for rep in range(4):
-        compliant = ThresholdStrategy(norm.compliant_threshold(rep))
-        assert prob_reset(norm, rep, eta, compliant) == pytest.approx(0.07)
+        assert reset[rep, norm.compliant_threshold(rep)] == pytest.approx(0.07)
 
 
 def test_prob_reset_total_deviation():
     norm = make_norm(N=5, h=1, epsilon=0.0)
-    eta = OpponentConfig(counts=(0, 0, 2, 2))
-    assert prob_reset(norm, 2, eta, ThresholdStrategy(4)) == pytest.approx(1.0)
+    reset = model_arrays(norm, [(0, 0, 2, 2)])[2][0]
+    assert reset[2, 4] == pytest.approx(1.0)
 
 
 def test_prob_reset_mixture_example():
     norm = make_norm(N=5, h=1, epsilon=0.1)
-    eta = OpponentConfig(counts=(2, 0, 0, 2))
+    reset = model_arrays(norm, [(2, 0, 0, 2)])[2][0]
     # matching on the two rep-0 clients, deviating on the two rep-3 clients
-    assert prob_reset(norm, 2, eta, ThresholdStrategy(4)) == pytest.approx(0.5)
+    assert reset[2, 4] == pytest.approx(0.5)
 
 
 def test_prob_reset_error_symmetry():
     norm = make_norm(N=7, h=2, epsilon=0.2)
-    eta = OpponentConfig(counts=(2, 1, 1, 2))
-    low = reset_profile(norm, eta, epsilon=0.2)
-    high = reset_profile(norm, eta, epsilon=0.8)
+    eta = [(2, 1, 1, 2)]
+    low = model_arrays(norm, eta, epsilon=0.2)[2]
+    high = model_arrays(norm, eta, epsilon=0.8)[2]
     assert np.allclose(high, 1.0 - low)
 
 
@@ -119,8 +103,7 @@ def test_prob_reset_bounds():
         h = int(rng.integers(1, 4))
         norm = make_norm(N=N, h=h, epsilon=eps)
         counts = rng.multinomial(N - 1, np.ones(4) / 4)
-        eta = OpponentConfig(counts=tuple(int(x) for x in counts))
-        grid = reset_profile(norm, eta)
+        grid = model_arrays(norm, [counts])[2]
         assert (grid >= 0).all() and (grid <= 1).all()
 
 
@@ -129,29 +112,26 @@ def test_belief_benefit_reduces_to_baseline():
     # positive-reputation opponents (the baseline treats reputation-0
     # opponents as defectors, so the census must not contain any)
     norm = make_norm(N=6, h=2, epsilon=0.0)
-    eta = OpponentConfig(counts=(0, 2, 1, 2))
+    eta = [(0, 2, 1, 2)]
     O = BeliefMatrix.compliant(norm)
-    assert np.allclose(
-        benefit_profile(norm, eta, beliefs=O), benefit_profile(norm, eta)
-    )
+    held = model_arrays(norm, eta, belief_rows=O.rows[None])
+    assert np.allclose(held[0], model_arrays(norm, eta)[0])
 
 
 def test_belief_benefit_uniform_rows():
     # uniform beliefs: a top-reputation client is served by 4 of 5 thresholds
     norm = make_norm(N=6, h=1, epsilon=0.0)
-    eta = OpponentConfig(counts=(0, 0, 0, 5))
     O = BeliefMatrix.uniform(3)
-    got = benefit_profile(norm, eta, beliefs=O)
-    assert got[3] == pytest.approx(3.0 * (4.0 / 5.0))
+    benefit = model_arrays(norm, [(0, 0, 0, 5)], belief_rows=O.rows[None])[0]
+    assert benefit[0, 3] == pytest.approx(3.0 * (4.0 / 5.0))
 
 
 def test_belief_all_defector_rows_zero_benefit():
     norm = make_norm(N=6, h=1, epsilon=0.0)
-    eta = OpponentConfig(counts=(1, 1, 1, 2))
     rows = np.zeros((4, 5))
     rows[:, 4] = 1.0
-    got = benefit_profile(norm, eta, beliefs=BeliefMatrix(rows=rows))
-    assert np.allclose(got, 0.0)
+    benefit = model_arrays(norm, [(1, 1, 1, 2)], belief_rows=rows[None])[0]
+    assert np.allclose(benefit, 0.0)
 
 
 def test_beliefs_reshape_benefit_but_not_reset():
@@ -163,22 +143,33 @@ def test_beliefs_reshape_benefit_but_not_reset():
     assert not np.allclose(held[0], base[0])
     assert np.array_equal(held[1], base[1])
     assert np.array_equal(held[2], base[2])
-    eta = OpponentConfig(counts=(2, 1, 1, 1))
-    assert base[2][0, 1, 3] == prob_reset(norm, 1, eta, ThresholdStrategy(3))
+    # a census's row does not depend on the rest of the batch
+    assert base[2][0, 1, 3] == model_arrays(norm, etas[:1])[2][0, 1, 3]
 
 
 def test_mismatched_census_rejected():
     norm = make_norm(N=5)
-    with pytest.raises(ValueError):
-        cost_profile(norm, OpponentConfig(counts=(1, 1, 1)))
-    with pytest.raises(ValueError):
-        cost_profile(norm, OpponentConfig(counts=(5, 1, 1, 1)))
-    with pytest.raises(ValueError):
-        model_arrays(norm, np.array([[1, 1, 1, 1], [2, 1, 1, 1]]))
+    bad = [
+        [(1, 1, 1)],  # wrong length
+        [(5, 1, 1, 1)],  # wrong sum
+        [(-1, 1, 1, 3)],  # sums to N-1 with a negative entry
+        [(1, 1, 1, 1), (2, 1, 1, 1)],  # one bad row in a batch
+        [(1, 1, 1, 1), (2, -1, 1, 2)],
+    ]
+    for etas in bad:
+        with pytest.raises(ValueError):
+            model_arrays(norm, etas)
+    # a negative count would otherwise give reset "probabilities" below 0
+    norm = make_norm(N=11, epsilon=0.1)
+    for etas in ([(-1, 0, 0, 11)], [(1, 1, 1, 7), (-1, 0, 0, 11)]):
+        with pytest.raises(ValueError):
+            model_arrays(norm, etas)
+        with pytest.raises(ValueError):
+            solve_policy_batch(norm, np.array(etas, dtype=float), 0.6)
 
 
 def test_cost_profile_counts_served_clients():
     norm = make_norm(N=5, h=1)
-    eta = OpponentConfig(counts=(1, 1, 1, 1))
     # threshold a serves opponents with rep >= a
-    assert np.allclose(cost_profile(norm, eta), [1.0, 0.75, 0.5, 0.25, 0.0])
+    cost = model_arrays(norm, [(1, 1, 1, 1)])[1][0]
+    assert np.allclose(cost, [1.0, 0.75, 0.5, 0.25, 0.0])

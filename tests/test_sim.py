@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from normsim import (
     CommunityParams,
     ConfigError,
-    Configuration,
     ExperimentSpec,
     SocialNorm,
-    ThresholdStrategy,
     initial_state,
     run_evolution,
     run_experiment,
@@ -144,7 +142,7 @@ def test_full_cooperation_is_a_fixed_point():
     state.rep[:] = 3
     state.thr[:] = norm.h
     m = run_period(state, norm, rng)
-    assert m.configuration.counts == (0, 0, 0, 12)
+    assert m.census == (0, 0, 0, 12)
     assert m.social_welfare == pytest.approx(2.0)
     assert m.services_rendered == 12
 
@@ -157,7 +155,7 @@ def test_universal_defection_yields_zero_welfare():
     m = run_period(state, norm, rng)
     assert m.social_welfare == 0.0
     assert m.services_rendered == 0
-    assert m.configuration.counts == (12, 0, 0, 0)
+    assert m.census == (12, 0, 0, 0)
 
 
 def test_reset_rate_matches_error_rate():
@@ -184,7 +182,7 @@ def test_census_conservation_and_welfare_bounds():
     state = initial_state(norm, rng)
     for period in range(200):
         m = run_period(state, norm, rng, period)
-        assert sum(m.configuration.counts) == 30
+        assert sum(m.census) == 30
         assert -1.0 <= m.social_welfare <= 2.0  # per-user, in [-(c), b-c]
         assert 0 <= m.services_rendered <= 30
 
@@ -193,12 +191,12 @@ def test_adaptation_defects_against_empty_community():
     norm = make_norm(N=10, gamma=1.0, delta=0.3)
     rng = np.random.default_rng(6)
     state = initial_state(norm, rng, initial_reputation="zeros")
-    run_adaptation(state, norm, Configuration(counts=(10, 0, 0, 0)), rng)
+    run_adaptation(state, norm, (10, 0, 0, 0), rng)
     assert (state.thr == 4).all()
 
 
 def _census(state, L=3):
-    return Configuration(counts=tuple(int(n) for n in state.census(L)))
+    return tuple(int(n) for n in state.census(L))
 
 
 def _census_states(norm, deltas):
@@ -239,7 +237,7 @@ def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
 def test_adaptation_rejects_census_missing_an_adapter():
     norm = make_norm(N=10, gamma=1.0)
     state = initial_state(norm, np.random.default_rng(6), initial_reputation="zeros")
-    mu = Configuration(counts=(0, 0, 0, 10))
+    mu = (0, 0, 0, 10)
     for table in ({}, None):
         with pytest.raises(ValueError):
             run_adaptation(state, norm, mu, np.random.default_rng(6), table)
@@ -255,12 +253,12 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
     policies = build_transition_matrix(norm, space).policies
     table = {}
     for i, row in enumerate(space.counts.tolist()):
-        mu = Configuration(counts=row)
+        mu = tuple(row)
         state = initial_state(norm, np.random.default_rng(0))
-        state.rep = np.repeat(np.arange(4), mu.counts)
+        state.rep = np.repeat(np.arange(4), mu)
         run_adaptation(state, norm, mu, np.random.default_rng(1), table)
-        occupied = np.flatnonzero(mu.counts)
-        assert (table[(mu.counts, 0.6)][occupied] == policies[i, occupied]).all()
+        occupied = np.flatnonzero(mu)
+        assert (table[(mu, 0.6)][occupied] == policies[i, occupied]).all()
         assert (state.thr == policies[i, state.rep]).all()
 
 
@@ -317,7 +315,7 @@ def test_engine_period_matches_scalar_rule(h):
     expected = []
     for j in range(N):
         client_rep = int(rep_before[client_of[j]])
-        z = strategy_serves(ThresholdStrategy(int(state.thr[j])), client_rep, L)
+        z = strategy_serves(int(state.thr[j]), client_rep, L)
         reported = 1 - z if flips[j] else z
         expected.append(reputation_update(norm, int(rep_before[j]), client_rep, reported))
     run_period(state, norm, np.random.default_rng(30 + h))
@@ -345,9 +343,7 @@ def test_evolution_is_deterministic_and_converges():
     s1, sum1 = run_evolution(spec)
     s2, sum2 = run_evolution(spec)
     assert sum1 == sum2
-    assert [m.configuration.counts for m in s1] == [
-        m.configuration.counts for m in s2
-    ]
+    assert [m.census for m in s1] == [m.census for m in s2]
     # feasible parameters: the community ends mostly at the top
     assert sum1["terminal_mean_fraction_top"] > 0.5
     assert sum1["convergence_period"] is not None
@@ -403,6 +399,6 @@ def test_adaptive_belief_mode_keeps_rows_stochastic():
     mu = _census(state)
     for period in range(1, 301):
         run_adaptation(state, norm, mu, rng)
-        mu = run_period(state, norm, rng, period).configuration
+        mu = run_period(state, norm, rng, period).census
     assert np.abs(state.belief_rows.sum(axis=2) - 1.0).max() < 1e-9
     assert (state.belief_counts.sum(axis=1) == 300).all()
