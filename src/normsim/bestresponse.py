@@ -63,22 +63,17 @@ def _tie_break_argmax(q: np.ndarray, prefer: np.ndarray) -> np.ndarray:
     return prefer[qp.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)]
 
 
-def _resolve_actions(norm: SocialNorm, action_space) -> tuple[np.ndarray, np.ndarray]:
-    """Serve matrix and tie-break preference order for an action space.
+def _action_serve(norm: SocialNorm, action_space) -> np.ndarray | None:
+    """Serve matrix of an action space, None for the norm's own.
 
-    "threshold" gives the norm's L+2 threshold actions; "subset" enumerates
-    all 2^(L+1) service sets.  Both are float.  Ties prefer the action
-    serving the fewest clients.
+    "threshold" is the norm's L+2 threshold actions, whose model arrays the
+    norm already holds; "subset" enumerates all 2^(L+1) service sets, as float.
     """
     if action_space == "threshold":
-        serve = norm.serve
-    elif action_space == "subset":
-        serve = np.array(list(product((0.0, 1.0), repeat=norm.params.L + 1)))
-    else:
-        raise ValueError(f"unknown action space {action_space!r}")
-    # stable order: more services first, so the last tied entry serves fewest
-    order = np.argsort(-serve.sum(axis=1), kind="stable")
-    return serve, order
+        return None
+    if action_space == "subset":
+        return np.array(list(product((0.0, 1.0), repeat=norm.params.L + 1)))
+    raise ValueError(f"unknown action space {action_space!r}")
 
 
 def solve_value_iteration(
@@ -104,11 +99,14 @@ def solve_value_iteration(
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     p = norm.params
     dlt = p.delta if delta is None else delta
-    serve, prefer = _resolve_actions(norm, action_space)
+    custom = _action_serve(norm, action_space)
+    serve = norm.serve if custom is None else custom
+    # stable order: more services first, so the last tied entry serves fewest
+    prefer = np.argsort(-serve.sum(axis=1), kind="stable")
     benefit, cost, reset = model_arrays(
         norm,
         [eta],
-        serve=None if serve is norm.serve else serve,
+        serve=custom,
         epsilon=epsilon,
         bs=b,
         belief_rows=None if beliefs is None else beliefs.rows[None],

@@ -24,6 +24,7 @@ from . import chain as chain_mod
 from . import design as design_mod
 from .bestresponse import bimodal_opponent, closed_form_bimodal, solve_value_iteration
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number, load_norm
+from .payoff import model_arrays
 from .sim import ExperimentSpec, bridge_occupancy, run_experiment
 
 
@@ -115,9 +116,10 @@ def _cmd_bestresponse(args) -> int:
     norm = load_norm(args.config)
     eta = _parse_counts(args.eta)
     try:
-        sol = solve_value_iteration(norm, eta, action_space=args.action_space)
-    except ValueError as exc:  # the census has the wrong length, sign or sum
+        model_arrays(norm, [eta])  # the census has the right length, sign and sum
+    except ValueError as exc:
         raise ConfigError(f"--eta {args.eta!r}: {exc}") from exc
+    sol = solve_value_iteration(norm, eta, action_space=args.action_space)
     doc = {
         "schema_version": 1,
         "policy": [int(a) for a in sol.policy],

@@ -295,14 +295,14 @@ def _best_thresholds(norm, mu_counts, reps, deltas, *, bs=None, belief_rows=None
 def run_adaptation(
     state: SimState,
     norm: SocialNorm,
-    mu: tuple[int, ...],
+    mu,
     rng: np.random.Generator,
     table: dict | None = None,
 ) -> None:
     """Each user recomputes its best response with probability gamma.
 
     The best response is solved against the posted census ``mu`` (the L+1
-    counts of every user's current reputation, a tuple) with the user itself
+    counts of every user's current reputation) with the user itself
     removed, at the user's personal discount factor and benefit, and with its
     own belief matrix when it maintains one.  The user's new threshold is the policy
     entry at its current reputation.
@@ -326,12 +326,13 @@ def run_adaptation(
         )
         return
     occupied = np.flatnonzero(mu_counts)
+    census = tuple(mu)
     for delta in np.unique(deltas):
-        thr = table.get((mu, delta))
+        thr = table.get((census, delta))
         if thr is None:
             thr = np.zeros_like(mu_counts, dtype=np.int64)
             thr[occupied] = _best_thresholds(norm, mu_counts, occupied, delta)
-            table[(mu, delta)] = thr
+            table[(census, delta)] = thr
         sel = deltas == delta
         state.thr[adapt[sel]] = thr[reps[sel]]
 

@@ -64,7 +64,7 @@ def test_utility_affine_in_counts():
     u = benefit[:, :, None] - cost[:, None, :]  # [census, own rep, threshold]
     # moving one opponent from rep 0 to rep 3 changes utility by the
     # difference of the per-opponent coefficients
-    assert np.allclose(u[1] - u[0], (u[3] - u[2]) / 8, rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(u[1] - u[0], (u[3] - u[2]) / 8, rtol=0, atol=1e-12)
 
 
 def test_prob_reset_compliant_action_is_epsilon():

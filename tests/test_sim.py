@@ -243,6 +243,15 @@ def test_adaptation_rejects_census_missing_an_adapter():
             run_adaptation(state, norm, mu, np.random.default_rng(6), table)
 
 
+def test_adaptation_table_keys_any_census_sequence_as_a_tuple():
+    norm = make_norm(N=10, gamma=1.0)
+    state = initial_state(norm, np.random.default_rng(6), initial_reputation="zeros")
+    table = {}
+    for mu in ([10, 0, 0, 0], np.array([10, 0, 0, 0]), (10, 0, 0, 0)):
+        run_adaptation(state, norm, mu, np.random.default_rng(6), table)
+    assert list(table) == [((10, 0, 0, 0), 0.6)]
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.05])
 def test_adaptation_table_agrees_with_chain_policies(epsilon):
     # the exact chain solves every (census, reputation) pair in one batch;
