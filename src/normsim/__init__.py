@@ -1,19 +1,20 @@
 """Analysis toolkit for reputation-based service protocols in online communities.
 
 Core pieces: protocol primitives (norms), expected payoffs against a census
-(payoff), single-user best-response solvers (bestresponse), the designer's
+(payoff), the single-user best-response solver (bestresponse), the designer's
 feasibility analysis (design), exact census-chain analysis for small
 communities (chain), and a Monte Carlo engine for large ones (sim).
 """
 
-from .beliefs import BeliefMatrix, updated_row
+from .beliefs import updated_row
 from .bestresponse import (
     BestResponseSolution,
     ClosedFormSolution,
+    best_response,
     closed_form_bimodal,
     closed_form_policy,
     solve_policy_batch,
-    solve_value_iteration,
+    subset_serve,
     verify_threshold_structure,
 )
 from .chain import (
@@ -32,9 +33,7 @@ from .chain import (
 )
 from .design import (
     AbsorbingBounds,
-    DesignVerdict,
     absorbing_bounds,
-    evaluate_design,
     feasibility_test,
     feasible_region_grid,
     solve_H,
@@ -67,13 +66,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AbsorbingBounds",
     "AbsorbingClassification",
-    "BeliefMatrix",
     "BestResponseSolution",
     "ClosedFormSolution",
     "CommunityParams",
     "ConfigError",
     "ConfigSpace",
-    "DesignVerdict",
     "ExperimentSpec",
     "LimitingResult",
     "PeriodMetrics",
@@ -82,13 +79,13 @@ __all__ = [
     "StationaryDist",
     "TransitionMatrix",
     "absorbing_bounds",
+    "best_response",
     "bridge_occupancy",
     "build_transition_matrix",
     "classify_absorbing",
     "closed_form_bimodal",
     "closed_form_policy",
     "enumerate_configs",
-    "evaluate_design",
     "feasibility_test",
     "feasible_region_grid",
     "initial_state",
@@ -105,10 +102,10 @@ __all__ = [
     "social_rule",
     "solve_H",
     "solve_policy_batch",
-    "solve_value_iteration",
     "stationary_distribution",
     "stationary_linear",
     "strategy_serves",
+    "subset_serve",
     "updated_row",
     "verify_threshold_structure",
     "write_region_csv",

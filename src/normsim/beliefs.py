@@ -8,47 +8,7 @@ plays service threshold l.  Rows are probability distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .norms import SocialNorm
-
-ROW_SUM_TOL = 1e-9
-
-
-def _check_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != rows.shape[0] + 1:
-        raise ValueError(
-            f"belief matrix must have shape (L+1, L+2), got {rows.shape}"
-        )
-    if np.any(rows < -ROW_SUM_TOL):
-        raise ValueError("belief matrix entries must be nonnegative")
-    sums = rows.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        raise ValueError(f"belief matrix rows must sum to 1, got sums {sums}")
-    return rows
-
-
-@dataclass
-class BeliefMatrix:
-    """Row-stochastic beliefs over opponents' service thresholds."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        self.rows = _check_rows(self.rows)
-
-    @classmethod
-    def compliant(cls, norm: SocialNorm) -> "BeliefMatrix":
-        """Initial belief: every opponent complies with the social rule."""
-        return cls(rows=np.eye(norm.params.L + 2)[norm.compliant])
-
-    @classmethod
-    def uniform(cls, L: int) -> "BeliefMatrix":
-        rows = np.full((L + 1, L + 2), 1.0 / (L + 2))
-        return cls(rows=rows)
 
 
 def updated_row(rows: np.ndarray, own_rep, observed_z, t) -> np.ndarray:

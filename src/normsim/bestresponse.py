@@ -1,13 +1,14 @@
-"""Best-response solvers for the single-user strategy-adaptation problem.
+"""Best responses for the single-user strategy-adaptation problem.
 
 A user adapting its strategy solves a small dynamic program: its state is
 its own reputation, the opponent census is held fixed, and each period its
 reputation either advances by one step (capped at L) or resets to 0 with the
-action-dependent punishment probability.  ``solve_value_iteration`` solves
-this program directly; ``closed_form_bimodal`` provides the analytic
-solution for censuses concentrated on reputations 0 and L, which serves as
-an independent oracle; ``solve_policy_batch`` is an exact accelerated solver
-for many users at once, used by the Monte Carlo engine.
+action-dependent punishment probability.  ``solve_policy_batch`` solves this
+program exactly by policy iteration, for many users at once and over the
+threshold actions or any set of service sets; ``best_response`` is its
+one-user call.  ``closed_form_bimodal`` provides the analytic solution for
+censuses concentrated on reputations 0 and L, which serves as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from itertools import product
 
 import numpy as np
 
-from .beliefs import BeliefMatrix
 from .norms import SocialNorm
 from .payoff import model_arrays
 
-DEFAULT_TOLERANCE = 1e-10
-MAX_ITERATIONS = 10**6
 # Q-values closer than this are treated as exact ties when extracting the
 # greedy policy; knife-edge indifference then resolves deterministically
 # instead of following floating-point noise.
@@ -35,9 +33,9 @@ class BestResponseSolution:
 
     policy: np.ndarray  # action per reputation: its threshold, or its row in serve
     values: np.ndarray  # long-term utility per reputation
-    iterations: int
-    residual: float
-    q: np.ndarray  # action values [rep, action] at the final sweep
+    iterations: int  # policy-iteration rounds
+    residual: float  # Bellman residual of values: max |max_a q - values|
+    q: np.ndarray  # action values [rep, action] against values
     serve: np.ndarray  # serve indicator vector of each action
 
 
@@ -55,92 +53,47 @@ class ClosedFormSolution:
     values: np.ndarray
 
 
-def _tie_break_argmax(q: np.ndarray, prefer: np.ndarray) -> np.ndarray:
-    """Row-wise argmax; ties (within ``POLICY_TIE_ATOL``) go to the action
-    latest in ``prefer`` order."""
-    qp = q[:, prefer]
-    mask = qp >= qp.max(axis=1, keepdims=True) - POLICY_TIE_ATOL
-    return prefer[qp.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)]
+def subset_serve(L: int) -> np.ndarray:
+    """Serve matrix of all 2^(L+1) service sets, one float row per set."""
+    return np.array(list(product((0.0, 1.0), repeat=L + 1)))
 
 
-def _action_serve(norm: SocialNorm, action_space) -> np.ndarray | None:
-    """Serve matrix of an action space, None for the norm's own.
-
-    "threshold" is the norm's L+2 threshold actions, whose model arrays the
-    norm already holds; "subset" enumerates all 2^(L+1) service sets, as float.
-    """
-    if action_space == "threshold":
-        return None
-    if action_space == "subset":
-        return np.array(list(product((0.0, 1.0), repeat=norm.params.L + 1)))
-    raise ValueError(f"unknown action space {action_space!r}")
-
-
-def solve_value_iteration(
+def best_response(
     norm: SocialNorm,
     eta,
     *,
-    action_space="threshold",
-    tolerance: float = DEFAULT_TOLERANCE,
+    serve: np.ndarray | None = None,
     b: float | None = None,
     delta: float | None = None,
     epsilon: float | None = None,
-    beliefs: BeliefMatrix | None = None,
+    belief_rows: np.ndarray | None = None,
 ) -> BestResponseSolution:
-    """Solve the adaptation problem by value iteration against a fixed
-    opponent census ``eta`` (L+1 counts summing to N-1).
+    """One user's best response against a fixed opponent census ``eta``
+    (L+1 counts summing to N-1): a one-row call of ``solve_policy_batch``.
 
-    Stops when the sweep-to-sweep sup-norm change drops below
-    tolerance * (1 - delta) / delta, which bounds the optimality gap of the
-    returned values by ``tolerance``.  Ties in the greedy policy go to the
-    action serving fewer clients.
+    serve        (A, L+1) service sets to choose from; default the norm's
+                 L+2 threshold actions, so that a policy entry is a threshold
+    belief_rows  (L+1, L+2) belief matrix over opponents' thresholds;
+                 default the baseline belief
+    b, delta and epsilon replace the norm's benefit, discount and error rate.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    p = norm.params
-    dlt = p.delta if delta is None else delta
-    custom = _action_serve(norm, action_space)
-    serve = norm.serve if custom is None else custom
-    # stable order: more services first, so the last tied entry serves fewest
-    prefer = np.argsort(-serve.sum(axis=1), kind="stable")
-    benefit, cost, reset = model_arrays(
+    dlt = norm.params.delta if delta is None else delta
+    policies, values, _, q, rounds = solve_policy_batch(
         norm,
         [eta],
-        serve=custom,
-        epsilon=epsilon,
-        bs=b,
-        belief_rows=None if beliefs is None else beliefs.rows[None],
-    )
-    reward = benefit[0][:, None] - cost[0][None, :]
-    reset = reset[0]
-    up = norm.up
-    stop = tolerance * (1.0 - dlt) / dlt if dlt > 0 else 0.0
-
-    values = np.zeros(p.L + 1)
-    residual = np.inf
-    iterations = 0
-    while iterations < MAX_ITERATIONS:
-        cont = reset * values[0] + (1.0 - reset) * values[up][:, None]
-        q = reward + dlt * cont
-        new_values = q.max(axis=1)
-        residual = float(np.abs(new_values - values).max())
-        values = new_values
-        iterations += 1
-        if residual <= stop:
-            break
-    else:
-        raise RuntimeError(
-            f"value iteration failed to converge within {MAX_ITERATIONS} sweeps "
-            f"(residual {residual:.3e}); this indicates a bug for delta < 1"
-        )
-
-    return BestResponseSolution(
-        policy=_tie_break_argmax(q, prefer),
-        values=values,
-        iterations=iterations,
-        residual=residual,
-        q=q,
+        [dlt],
         serve=serve,
+        belief_rows=None if belief_rows is None else np.asarray(belief_rows)[None],
+        bs=b,
+        epsilon=epsilon,
+    )
+    return BestResponseSolution(
+        policy=policies[0],
+        values=values[0],
+        iterations=rounds,
+        residual=float(np.abs(q[0].max(axis=1) - values[0]).max()),
+        q=q[0],
+        serve=norm.serve if serve is None else np.asarray(serve, dtype=float),
     )
 
 
@@ -218,15 +171,13 @@ def verify_threshold_structure(
     Solves the adaptation problem over all 2^(L+1) service subsets and over
     threshold actions, then verifies that (a) the optimal values agree within
     ``tolerance`` and (b) at every reputation some optimal subset is
-    upward-closed in client reputation.  Returns (ok, counterexample).
+    upward-closed in client reputation.  ``solver_kwargs`` go to
+    ``best_response``.  Returns (ok, counterexample).
     """
-    sub = solve_value_iteration(
-        norm, eta, action_space="subset", tolerance=min(tolerance, 1e-10),
-        **solver_kwargs,
+    sub = best_response(
+        norm, eta, serve=subset_serve(norm.params.L), **solver_kwargs
     )
-    thr = solve_value_iteration(
-        norm, eta, tolerance=min(tolerance, 1e-10), **solver_kwargs
-    )
+    thr = best_response(norm, eta, **solver_kwargs)
     gap = np.abs(sub.values - thr.values)
     if gap.max() >= tolerance:
         rep = int(gap.argmax())
@@ -254,25 +205,34 @@ def solve_policy_batch(
     etas: np.ndarray,
     deltas: np.ndarray,
     *,
+    serve: np.ndarray | None = None,
     belief_rows: np.ndarray | None = None,
     bs: np.ndarray | None = None,
     epsilon: float | None = None,
     max_rounds: int = 200,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact best responses for a batch of users sharing the threshold MDP shape.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Exact best responses for a batch of users sharing one MDP shape.
 
     etas         (K, L+1) opponent censuses (rows sum to N-1)
     deltas       (K,) personal discount factors
+    serve        optional (A, L+1) service sets the users choose from (the
+                 L+2 threshold actions otherwise)
     belief_rows  optional (K, L+1, L+2) belief matrices of adaptive users
                  (the baseline belief otherwise)
     bs           optional (K,) per-user benefit values
 
-    Returns (policies, values, resets), each (K, L+1): ``resets[k, r]`` is
-    the probability that playing ``policies[k, r]`` at reputation r resets
-    user k, read from the same model the solver used.  Uses policy iteration
-    with exact evaluation; the fixed point and tie-breaking match
-    ``solve_value_iteration`` on threshold actions.  Raises RuntimeError if
-    the policies have not settled within ``max_rounds`` rounds.
+    Returns (policies, values, resets, q, rounds).  ``policies[k, r]`` is
+    the action user k plays at reputation r: a threshold, or a row of
+    ``serve``.  ``values`` (K, L+1) are the users' long-term utilities, and
+    ``resets[k, r]`` is the probability that playing ``policies[k, r]`` at
+    reputation r resets user k, read from the same model the solver used.
+    ``q`` (K, L+1, A) holds the action values against the final values, and
+    ``rounds`` counts the policy-iteration rounds.  Each round evaluates the
+    policies exactly and improves them greedily.  Q-values within
+    ``POLICY_TIE_ATOL`` of the best tie, and ties go to the action serving
+    fewest clients (the larger threshold; among service sets of one size,
+    the later row of ``serve``).  Raises RuntimeError if the policies have
+    not settled within ``max_rounds`` rounds.
     """
     L = norm.params.L
     S = L + 1
@@ -281,18 +241,26 @@ def solve_policy_batch(
     dlt = np.empty(K)
     dlt[:] = deltas
     dlt3 = dlt[:, None, None]
+    order = None
+    if serve is not None:
+        # ties go to the last action, so the actions serving fewest go last;
+        # threshold actions are in this order already
+        serve = np.asarray(serve, dtype=float)
+        order = np.argsort(-serve.sum(axis=1), kind="stable")
+        serve = serve[order]
     benefit, cost, reset = model_arrays(
-        norm, etas, epsilon=epsilon, bs=bs, belief_rows=belief_rows
+        norm, etas, serve=serve, epsilon=epsilon, bs=bs, belief_rows=belief_rows
     )
+    last = cost.shape[1] - 1
     reward = benefit[:, :, None] - cost[:, None, :]  # (K, own, a)
     rr = np.arange(S)
     up = norm.up
     eye = np.eye(S)
     kk = np.arange(K)[:, None]  # played entries of (K, own, a): arr[kk, rr, policies]
 
-    policies = np.full((K, S), L + 1, dtype=np.int64)
+    policies = np.full((K, S), last, dtype=np.int64)
     prev_values = None
-    for _ in range(max_rounds):
+    for rounds in range(1, max_rounds + 1):
         # exact evaluation of the current policies: from r the user resets to
         # 0 or climbs to up[r] >= 1, so each row of T has two distinct entries
         p0 = reset[kk, rr, policies]
@@ -301,11 +269,11 @@ def solve_policy_batch(
         trans[:, rr, up] = 1.0 - p0
         A = eye - dlt3 * trans
         values = np.linalg.solve(A, reward[kk, rr, policies, None])[:, :, 0]
-        # greedy improvement, ties to the larger threshold
+        # greedy improvement, ties to the last action
         cont = reset * values[:, :1, None] + (1.0 - reset) * values[:, up, None]
         q = reward + dlt3 * cont
         tied = q >= q.max(axis=2, keepdims=True) - POLICY_TIE_ATOL
-        new_policies = (L + 1) - tied[:, :, ::-1].argmax(axis=2)
+        new_policies = last - tied[:, :, ::-1].argmax(axis=2)
         if (new_policies == policies).all():
             break
         # guard against two-cycles between exactly tied policies
@@ -319,4 +287,7 @@ def solve_policy_batch(
         raise RuntimeError(
             f"policy iteration did not settle within {max_rounds} rounds"
         )
-    return policies, values, p0
+    if order is not None:
+        policies = order[policies]
+        q = q[:, :, np.argsort(order)]
+    return policies, values, p0, q, rounds

@@ -143,14 +143,13 @@ def _batch_policies(
     arrays of shape (|space|, L+1): the threshold played and the probability
     that playing it resets the user.  Unoccupied entries hold the socially
     prescribed threshold and a reset probability of 0; they never matter for
-    transitions.  All pairs are solved in one batched policy-iteration call,
-    which matches the scalar solver exactly.
+    transitions.  All pairs are solved in one batched policy-iteration call.
     """
     L = norm.params.L
     counts = space.counts
     cfg, rep = np.nonzero(counts)
     pair = np.arange(cfg.size)
-    solved, _, played_resets = solve_policy_batch(
+    solved, _, played_resets, _, _ = solve_policy_batch(
         norm, opponent_of(counts[cfg], rep), np.full(cfg.size, norm.params.delta),
         epsilon=eps,
     )

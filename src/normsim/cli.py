@@ -22,7 +22,12 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import design as design_mod
-from .bestresponse import bimodal_opponent, closed_form_bimodal, solve_value_iteration
+from .bestresponse import (
+    best_response,
+    bimodal_opponent,
+    closed_form_bimodal,
+    subset_serve,
+)
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number, load_norm
 from .payoff import model_arrays
 from .sim import ExperimentSpec, bridge_occupancy, run_experiment
@@ -119,7 +124,8 @@ def _cmd_bestresponse(args) -> int:
         model_arrays(norm, [eta])  # the census has the right length, sign and sum
     except ValueError as exc:
         raise ConfigError(f"--eta {args.eta!r}: {exc}") from exc
-    sol = solve_value_iteration(norm, eta, action_space=args.action_space)
+    serve = subset_serve(norm.L) if args.action_space == "subset" else None
+    sol = best_response(norm, eta, serve=serve)
     doc = {
         "schema_version": 1,
         "policy": [int(a) for a in sol.policy],
@@ -147,10 +153,10 @@ def _verify_closed_form(quick: bool) -> list[str]:
                             if nL == (N if rep == 0 else 0):
                                 continue  # nobody at reputation rep
                             cf = closed_form_bimodal(norm, N - nL, nL, rep)
-                            vi = solve_value_iteration(
+                            br = best_response(
                                 norm, bimodal_opponent(norm, N - nL, nL, rep), epsilon=0.0
                             )
-                            if np.abs(vi.values - cf.values).max() > 1e-7:
+                            if np.abs(br.values - cf.values).max() > 1e-7:
                                 failures.append(
                                     f"closed form vs iteration at N={N} h={h} "
                                     f"delta={d} b={ratio} census={(N - nL, 0, 0, nL)}"

@@ -33,14 +33,6 @@ class AbsorbingBounds:
     b_upper: float
 
 
-@dataclass(frozen=True)
-class DesignVerdict:
-    delta_ok: bool
-    H: float | None
-    max_feasible_h: int | None
-    unique_ssc_is_muN: bool
-
-
 def absorbing_bounds(norm: SocialNorm) -> AbsorbingBounds:
     """Lower/upper cooperator-count bounds for self-sustaining 0/L censuses.
 
@@ -102,23 +94,6 @@ def solve_H(params: CommunityParams, *, tol: float = 1e-9) -> float | None:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def evaluate_design(params: CommunityParams, h: int) -> DesignVerdict:
-    """Full designer verdict for a candidate threshold ``h``.
-
-    ``unique_ssc_is_muN`` is ``feasibility_test``'s N-free verdict, so it can
-    be conservative at small N, where the exact chain is the authority.
-    """
-    delta_ok = params.delta > params.c / params.b
-    H = solve_H(params)
-    feasible_hs = [hh for hh in range(1, params.L + 1) if feasibility_test(params, hh)]
-    return DesignVerdict(
-        delta_ok=delta_ok,
-        H=H,
-        max_feasible_h=max(feasible_hs) if feasible_hs else None,
-        unique_ssc_is_muN=feasibility_test(params, h),
-    )
 
 
 def feasible_region_grid(

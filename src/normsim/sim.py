@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beliefs import BeliefMatrix, updated_row
+from .beliefs import updated_row
 from .bestresponse import solve_policy_batch
 from .norms import CommunityParams, ConfigError, SocialNorm, config_number
 from .payoff import opponent_of
@@ -205,7 +205,8 @@ def initial_state(
         deltas = np.full(p.N, p.delta)
     belief_rows = belief_counts = None
     if adaptive:
-        row = BeliefMatrix.compliant(norm).rows
+        # every opponent believed to comply with the social rule
+        row = np.eye(p.L + 2)[norm.compliant]
         belief_rows = np.broadcast_to(row, (p.N, p.L + 1, p.L + 2)).copy()
         belief_counts = np.zeros((p.N, p.L + 1), dtype=np.int64)
     return SimState(
@@ -286,9 +287,9 @@ def _observe_batch(state, server_of, served) -> None:
 def _best_thresholds(norm, mu_counts, reps, deltas, *, bs=None, belief_rows=None):
     """Thresholds played at reputations ``reps``, each solved against the
     census with that user removed."""
-    policies, _, _ = solve_policy_batch(
+    policies = solve_policy_batch(
         norm, opponent_of(mu_counts, reps), deltas, bs=bs, belief_rows=belief_rows
-    )
+    )[0]
     return policies[np.arange(reps.size), reps]
 
 

@@ -17,6 +17,7 @@ from normsim import (
     CommunityParams,
     ExperimentSpec,
     SocialNorm,
+    best_response,
     build_transition_matrix,
     bridge_occupancy,
     classify_absorbing,
@@ -27,7 +28,6 @@ from normsim import (
     feasible_region_grid,
     limiting_distribution,
     run_evolution,
-    solve_value_iteration,
     stationary_distribution,
     updated_row,
     verify_threshold_structure,
@@ -98,7 +98,7 @@ def test_01_closed_form_matches_value_iteration():
                                     continue
                                 cf = closed_form_bimodal(norm, N - nL, nL, rep)
                                 eta = bimodal_opponent(norm, N - nL, nL, rep)
-                                vi = solve_value_iteration(norm, eta, epsilon=0.0)
+                                vi = best_response(norm, eta, epsilon=0.0)
                                 assert np.abs(vi.values - cf.values).max() < 1e-7
                                 occupied = [r for r in (0, 3) if eta[r] > 0]
                                 pol = closed_form_policy(norm, cf)
@@ -137,7 +137,7 @@ def test_02_threshold_policy_structure_fuzz():
             # always admits an upward-closed optimal action
             ok, counterexample = verify_threshold_structure(norm, eta)
             assert ok, counterexample
-            sol = solve_value_iteration(norm, eta)
+            sol = best_response(norm, eta)
             floor = np.array([norm.compliant_threshold(r) for r in range(4)])
             assert (sol.policy >= floor).all()
             assert (np.diff(sol.policy[: norm.h]) <= 0).all()

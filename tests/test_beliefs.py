@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normsim import BeliefMatrix, CommunityParams, SocialNorm, updated_row
+from normsim import CommunityParams, SocialNorm, initial_state, updated_row
 
 
 def make_norm(h=2, L=3):
@@ -13,23 +13,12 @@ def make_norm(h=2, L=3):
 
 def test_compliant_initialization():
     norm = make_norm(h=2)
-    O = BeliefMatrix.compliant(norm)
+    state = initial_state(norm, np.random.default_rng(0), adaptive=True)
     expected = np.zeros((4, 5))
     expected[0, 0] = expected[1, 0] = 1.0  # bad opponents serve everyone
     expected[2, 2] = expected[3, 2] = 1.0  # good opponents serve the good
-    assert np.array_equal(O.rows, expected)
-
-
-def test_uniform_initialization_rows_sum_to_one():
-    O = BeliefMatrix.uniform(3)
-    assert np.allclose(O.rows.sum(axis=1), 1.0)
-
-
-def test_malformed_rows_rejected():
-    with pytest.raises(ValueError):
-        BeliefMatrix(rows=np.ones((4, 5)))  # rows sum to 5
-    with pytest.raises(ValueError):
-        BeliefMatrix(rows=np.full((4, 4), 0.25))  # wrong shape
+    assert state.belief_rows.shape == (10, 4, 5)
+    assert all(np.array_equal(rows, expected) for rows in state.belief_rows)
 
 
 def test_update_served_splits_mass_over_low_thresholds():
@@ -107,7 +96,7 @@ def test_batch_update_matches_one_row_calls():
 
 
 def test_updated_row_is_pure():
-    rows = BeliefMatrix.compliant(make_norm(h=1)).rows
+    rows = np.eye(5)[make_norm(h=1).compliant]
     before = rows.copy()
     out = updated_row(rows, own_rep=[2, 0, 1, 3], observed_z=[0, 1, 1, 0], t=1)
     assert np.array_equal(rows, before)
@@ -118,15 +107,15 @@ def test_updated_row_is_pure():
 def test_long_observation_sequence_stays_stochastic():
     rng = np.random.default_rng(0)
     norm = make_norm(h=2)
-    O = BeliefMatrix.compliant(norm)
+    rows = np.eye(5)[norm.compliant]
     counts = np.zeros(4, dtype=np.int64)  # observations per server reputation
     for _ in range(1000):
         server_rep = int(rng.integers(4))
         counts[server_rep] += 1
-        O.rows[server_rep] = updated_row(
-            O.rows[server_rep],
+        rows[server_rep] = updated_row(
+            rows[server_rep],
             own_rep=int(rng.integers(4)),
             observed_z=int(rng.integers(2)),
             t=int(counts[server_rep]),
         )
-    assert np.abs(O.rows.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9

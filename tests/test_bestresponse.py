@@ -6,16 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normsim import (
-    BeliefMatrix,
     CommunityParams,
     SocialNorm,
+    best_response,
     closed_form_bimodal,
     closed_form_policy,
     model_arrays,
     solve_policy_batch,
-    solve_value_iteration,
+    subset_serve,
     verify_threshold_structure,
 )
+from oracles import value_iteration
 
 
 def make_norm(N=11, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, h=1):
@@ -55,7 +56,7 @@ def test_full_compliance_example():
     # patient users facing an all-top census comply and earn (b-c)/(1-delta)
     norm = make_norm()
     eta = (0, 0, 0, 10)
-    sol = solve_value_iteration(norm, eta)
+    sol = best_response(norm, eta)
     assert np.allclose(sol.values, [2.0, 5.0, 5.0, 5.0], atol=1e-8)
     occupied = (3,)
     # reputation 0 must serve everyone it meets; above, serve the top clients
@@ -67,7 +68,7 @@ def test_full_compliance_example():
 def test_all_defector_census_yields_defection():
     norm = make_norm()
     eta = (10, 0, 0, 0)
-    sol = solve_value_iteration(norm, eta)
+    sol = best_response(norm, eta)
     assert np.allclose(sol.values, 0.0, atol=1e-8)
     assert (sol.policy == 4).all()
     oracle = brute_force_values(norm, eta)
@@ -87,7 +88,7 @@ def test_values_match_policy_enumeration_oracle():
             h=int(rng.integers(1, 4)),
         )
         eta = rng.multinomial(N - 1, np.ones(4) / 4)
-        sol = solve_value_iteration(norm, eta)
+        sol = best_response(norm, eta)
         oracle = brute_force_values(norm, eta)
         assert np.abs(sol.values - oracle).max() < 1e-7
 
@@ -105,7 +106,7 @@ def test_closed_form_matches_iteration_on_two_point_censuses():
                                 continue
                             cf = closed_form_bimodal(norm, N - nL, nL, rep)
                             counts[rep] -= 1
-                            vi = solve_value_iteration(norm, counts, epsilon=0.0)
+                            vi = best_response(norm, counts, epsilon=0.0)
                             assert np.abs(vi.values - cf.values).max() < 1e-7
 
 
@@ -123,7 +124,7 @@ def test_closed_form_myopic_users_defect():
     cf = closed_form_bimodal(norm, 11, 0, 0)
     assert cf.good_action == 4
     assert np.allclose(cf.values, 0.0)
-    vi = solve_value_iteration(norm, (10, 0, 0, 0))
+    vi = best_response(norm, (10, 0, 0, 0))
     assert (vi.policy == 4).all()
     assert np.allclose(vi.values, 0.0)
 
@@ -166,17 +167,17 @@ def test_batch_solver_matches_scalar_solver():
     deltas = rng.uniform(0.0, 0.9, size=K)
     bs = rng.uniform(1.2, 6.0, size=K)
     for beliefs in (None, rng.dirichlet(np.ones(5), size=(K, 4))):
-        policies, values, _ = solve_policy_batch(
+        policies, values = solve_policy_batch(
             norm, etas.astype(float), deltas, bs=bs, belief_rows=beliefs
-        )
+        )[:2]
         assert len({tuple(row) for row in policies}) >= 3
         for k in range(K):
-            sol = solve_value_iteration(
+            sol = best_response(
                 norm,
                 etas[k],
                 delta=float(deltas[k]),
                 b=float(bs[k]),
-                beliefs=None if beliefs is None else BeliefMatrix(rows=beliefs[k]),
+                belief_rows=None if beliefs is None else beliefs[k],
             )
             assert np.abs(values[k] - sol.values).max() < 1e-7
             assert (policies[k] == sol.policy).all()
@@ -187,10 +188,14 @@ def test_batch_solver_raises_when_policies_do_not_settle():
     # iteration cannot reach from its all-defect start in one round
     norm = make_norm(N=11)
     etas = np.array([[0.0, 0.0, 0.0, 10.0]])
-    policies, _, _ = solve_policy_batch(norm, etas, [0.6])
+    policies, *_, rounds = solve_policy_batch(norm, etas, [0.6])
     assert (policies[0] != 4).any()
+    # rounds is the fewest max_rounds that settle, and what the one-user
+    # entry point reports as its iterations
+    assert rounds == best_response(norm, etas[0]).iterations > 1
+    solve_policy_batch(norm, etas, [0.6], max_rounds=rounds)
     with pytest.raises(RuntimeError, match="did not settle"):
-        solve_policy_batch(norm, etas, [0.6], max_rounds=1)
+        solve_policy_batch(norm, etas, [0.6], max_rounds=rounds - 1)
 
 
 def test_structural_policy_properties():
@@ -207,7 +212,7 @@ def test_structural_policy_properties():
             h=h,
         )
         eta = rng.multinomial(N - 1, np.ones(4) / 4)
-        sol = solve_value_iteration(norm, eta)
+        sol = best_response(norm, eta)
         floor = np.array([norm.compliant_threshold(r) for r in range(4)])
         assert (sol.policy >= floor).all()
         assert (np.diff(sol.policy[:h]) <= 0).all()
@@ -217,21 +222,65 @@ def test_structural_policy_properties():
 
 def test_action_spaces_share_one_serve_dtype():
     norm = make_norm()
-    thr = solve_value_iteration(norm, (1, 2, 3, 4))
-    sub = solve_value_iteration(norm, (1, 2, 3, 4), action_space="subset")
+    thr = best_response(norm, (1, 2, 3, 4))
+    sub = best_response(norm, (1, 2, 3, 4), serve=subset_serve(3))
     assert thr.serve is norm.serve
     assert sub.serve.dtype == thr.serve.dtype == float
     assert sub.serve.shape == (16, 4)
 
 
-def test_contraction_residual_and_tolerance_validation():
-    norm = make_norm(delta=0.5)
-    eta = (5, 0, 0, 5)
-    sol = solve_value_iteration(norm, eta, tolerance=1e-10)
-    # at delta = 0.5 the stopping rule is exactly the tolerance itself
-    assert sol.residual <= 1e-10
-    with pytest.raises(ValueError):
-        solve_value_iteration(norm, eta, tolerance=0.0)
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(min_value=3, max_value=29),
+    L=st.integers(min_value=1, max_value=4),
+    h=st.integers(min_value=1, max_value=4),
+    delta=st.floats(min_value=0.0, max_value=0.95),
+    eps=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
+    b=st.floats(min_value=1.05, max_value=10.0),
+    actions=st.sampled_from(["threshold", "shuffled thresholds", "subset"]),
+    adaptive=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_solver_matches_value_iteration_oracle(
+    N, L, h, delta, eps, b, actions, adaptive, seed
+):
+    # Policy iteration lands on the fixed point value iteration approaches,
+    # with the same tie rule, whatever the order of the actions.  The oracle
+    # stops within 1e-10 of the optimal values; the bound is ten times that,
+    # relative to max(1, |v|) so that large values keep their rounding room.
+    assume(h <= L)
+    rng = np.random.default_rng(seed)
+    norm = make_norm(N=N, L=L, b=b, delta=delta, epsilon=eps, h=h)
+    K = 3
+    etas = rng.multinomial(N - 1, rng.dirichlet(np.ones(L + 1)), size=K)
+    beliefs = rng.dirichlet(np.ones(L + 2), size=(K, L + 1)) if adaptive else None
+    serve = {
+        "threshold": None,
+        "shuffled thresholds": rng.permutation(norm.serve),
+        "subset": subset_serve(L),
+    }[actions]
+    policies, values, resets, q, _ = solve_policy_batch(
+        norm, etas, np.full(K, delta), serve=serve, belief_rows=beliefs
+    )
+    played = model_arrays(norm, etas, serve=serve, belief_rows=beliefs)[2]
+    rr = np.arange(L + 1)
+    np.testing.assert_allclose(
+        resets, played[np.arange(K)[:, None], rr, policies], rtol=0, atol=1e-15
+    )
+    for k in range(K):
+        rows = None if beliefs is None else beliefs[k]
+        policy, want, want_q = value_iteration(
+            norm, etas[k], serve=serve, belief_rows=rows
+        )[:3]
+        scale = max(1.0, np.abs(want).max())
+        assert (policies[k] == policy).all()
+        assert np.abs(values[k] - want).max() <= 1e-9 * scale
+        assert np.abs(q[k] - want_q).max() <= 1e-9 * scale
+        assert np.abs(q[k].max(axis=1) - values[k]).max() <= 1e-9
+    # the one-user entry point reports the Bellman residual of its values
+    first = None if beliefs is None else beliefs[0]
+    sol = best_response(norm, etas[0], serve=serve, belief_rows=first)
+    assert (sol.policy == policies[0]).all() and sol.residual <= 1e-9
 
 
 def _model_arrays_reference(norm, etas, *, epsilon=None, bs=None, belief_rows=None):

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from normsim import bestresponse
 from normsim.cli import _parse_counts, _parse_grid, main
 from normsim.norms import ConfigError
 
@@ -234,6 +236,19 @@ def test_bestresponse_outputs_policy(norm_file, capsys):
         code = main(["bestresponse", "--config", str(norm_file), "--eta", eta])
         assert code == 2, eta
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_bestresponse_solver_error_is_an_invariant_violation(
+    norm_file, monkeypatch, capsys
+):
+    # against an all-top census policy iteration needs two rounds, so one
+    # round makes the solver raise, and the command exits 1, not 2
+    one_round = functools.partial(bestresponse.solve_policy_batch, max_rounds=1)
+    monkeypatch.setattr(bestresponse, "solve_policy_batch", one_round)
+    code = main(["bestresponse", "--config", str(norm_file), "--eta", "0,0,0,5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invariant violation: policy iteration did not settle" in err
 
 
 def test_help_exits_zero():

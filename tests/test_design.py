@@ -8,7 +8,6 @@ from normsim import (
     CommunityParams,
     SocialNorm,
     absorbing_bounds,
-    evaluate_design,
     feasibility_test,
     feasible_region_grid,
     solve_H,
@@ -101,15 +100,14 @@ def test_verdict_matches_threshold_comparison():
             b=float(rng.uniform(1.2, 6.0)), delta=float(rng.uniform(0.05, 0.95))
         )
         H = solve_H(params)
+        assert (H is None) == (not params.delta > params.c / params.b)
         for h in (1, 2, 3):
-            verdict = evaluate_design(params, h)
-            assert verdict.delta_ok == (params.delta > params.c / params.b)
+            feasible = feasibility_test(params, h)
             if H is None:
-                assert verdict.max_feasible_h is None
-                assert not verdict.unique_ssc_is_muN
+                assert not feasible
             elif abs(H - h) > 1e-6:
                 # off the knife edge, feasibility is exactly h < H
-                assert verdict.unique_ssc_is_muN == (h < H)
+                assert feasible == (h < H)
 
 
 def test_region_grid_shape_and_monotonicity():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from normsim import (
-    BeliefMatrix,
     CommunityParams,
     SocialNorm,
     model_arrays,
@@ -113,16 +112,16 @@ def test_belief_benefit_reduces_to_baseline():
     # opponents as defectors, so the census must not contain any)
     norm = make_norm(N=6, h=2, epsilon=0.0)
     eta = [(0, 2, 1, 2)]
-    O = BeliefMatrix.compliant(norm)
-    held = model_arrays(norm, eta, belief_rows=O.rows[None])
+    compliant = np.eye(5)[norm.compliant]
+    held = model_arrays(norm, eta, belief_rows=compliant[None])
     assert np.allclose(held[0], model_arrays(norm, eta)[0])
 
 
 def test_belief_benefit_uniform_rows():
     # uniform beliefs: a top-reputation client is served by 4 of 5 thresholds
     norm = make_norm(N=6, h=1, epsilon=0.0)
-    O = BeliefMatrix.uniform(3)
-    benefit = model_arrays(norm, [(0, 0, 0, 5)], belief_rows=O.rows[None])[0]
+    uniform = np.full((1, 4, 5), 1.0 / 5.0)
+    benefit = model_arrays(norm, [(0, 0, 0, 5)], belief_rows=uniform)[0]
     assert benefit[0, 3] == pytest.approx(3.0 * (4.0 / 5.0))
 
 
@@ -137,7 +136,7 @@ def test_belief_all_defector_rows_zero_benefit():
 def test_beliefs_reshape_benefit_but_not_reset():
     norm = make_norm(N=6, h=2, epsilon=0.12)
     etas = np.array([[2, 1, 1, 1], [0, 0, 2, 3]])
-    beliefs = np.stack([BeliefMatrix.uniform(3).rows] * 2)
+    beliefs = np.full((2, 4, 5), 1.0 / 5.0)
     base = model_arrays(norm, etas)
     held = model_arrays(norm, etas, belief_rows=beliefs)
     assert not np.allclose(held[0], base[0])
