@@ -27,7 +27,6 @@ from .chain import (
     classify_absorbing,
     enumerate_configs,
     limiting_distribution,
-    sample_trajectory,
     stationary_distribution,
     stationary_linear,
 )
@@ -45,9 +44,6 @@ from .norms import (
     SocialNorm,
     load_norm,
     norm_from_dict,
-    reputation_update,
-    social_rule,
-    strategy_serves,
 )
 from .payoff import model_arrays, opponent_of
 from .sim import (
@@ -94,17 +90,13 @@ __all__ = [
     "model_arrays",
     "norm_from_dict",
     "opponent_of",
-    "reputation_update",
     "run_evolution",
     "run_experiment",
     "run_period",
-    "sample_trajectory",
-    "social_rule",
     "solve_H",
     "solve_policy_batch",
     "stationary_distribution",
     "stationary_linear",
-    "strategy_serves",
     "subset_serve",
     "updated_row",
     "verify_threshold_structure",

@@ -19,12 +19,14 @@ from itertools import product
 import numpy as np
 
 from .norms import SocialNorm
-from .payoff import model_arrays
+from .payoff import model_arrays, opponent_of
 
 # Q-values closer than this are treated as exact ties when extracting the
 # greedy policy; knife-edge indifference then resolves deterministically
 # instead of following floating-point noise.
 POLICY_TIE_ATOL = 1e-9
+# verify_threshold_structure's value-gap bound and tie band
+STRUCTURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,8 @@ def best_response(
     )
 
 
-def bimodal_opponent(
-    norm: SocialNorm, n0: int, nL: int, own_rep: int
-) -> tuple[int, ...]:
-    """Opponent census seen by a user of ``own_rep`` in a 0/L two-point community."""
+def bimodal_opponent(norm: SocialNorm, n0: int, nL: int, own_rep: int) -> np.ndarray:
+    """Float opponent census of a user of ``own_rep`` in a 0/L community."""
     p = norm.params
     if min(n0, nL) < 0 or n0 + nL != p.N:
         raise ValueError(
@@ -110,10 +110,7 @@ def bimodal_opponent(
         raise ValueError(f"own reputation must be 0 or L={p.L}, got {own_rep}")
     counts = [0] * (p.L + 1)
     counts[0], counts[p.L] = n0, nL
-    if counts[own_rep] < 1:
-        raise ValueError(f"no user of reputation {own_rep} in ({n0}, ..., {nL})")
-    counts[own_rep] -= 1
-    return tuple(counts)
+    return opponent_of(counts, [own_rep])[0]
 
 
 def closed_form_bimodal(
@@ -160,26 +157,18 @@ def closed_form_policy(norm: SocialNorm, sol: ClosedFormSolution) -> np.ndarray:
     return policy
 
 
-def verify_threshold_structure(
-    norm: SocialNorm,
-    eta,
-    tolerance: float = 1e-8,
-    **solver_kwargs,
-) -> tuple[bool, dict | None]:
+def verify_threshold_structure(norm: SocialNorm, eta) -> tuple[bool, dict | None]:
     """Check that unrestricted service sets buy nothing over thresholds.
 
     Solves the adaptation problem over all 2^(L+1) service subsets and over
     threshold actions, then verifies that (a) the optimal values agree within
-    ``tolerance`` and (b) at every reputation some optimal subset is
-    upward-closed in client reputation.  ``solver_kwargs`` go to
-    ``best_response``.  Returns (ok, counterexample).
+    ``STRUCTURE_TOL`` and (b) at every reputation some optimal subset is
+    upward-closed in client reputation.  Returns (ok, counterexample).
     """
-    sub = best_response(
-        norm, eta, serve=subset_serve(norm.params.L), **solver_kwargs
-    )
-    thr = best_response(norm, eta, **solver_kwargs)
+    sub = best_response(norm, eta, serve=subset_serve(norm.params.L))
+    thr = best_response(norm, eta)
     gap = np.abs(sub.values - thr.values)
-    if gap.max() >= tolerance:
+    if gap.max() >= STRUCTURE_TOL:
         rep = int(gap.argmax())
         return False, {
             "reason": "value gap between subset and threshold actions",
@@ -190,7 +179,7 @@ def verify_threshold_structure(
     q = sub.q
     serve = sub.serve
     for rep in range(norm.params.L + 1):
-        tied = np.flatnonzero(q[rep] >= q[rep].max() - tolerance)
+        tied = np.flatnonzero(q[rep] >= q[rep].max() - STRUCTURE_TOL)
         if not any(np.all(np.diff(serve[a]) >= 0) for a in tied):
             return False, {
                 "reason": "no optimal action is upward-closed",

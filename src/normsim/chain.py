@@ -333,21 +333,6 @@ def stationary_linear(P: TransitionMatrix) -> StationaryDist:
     return StationaryDist(weights=w)
 
 
-def sample_trajectory(
-    P: TransitionMatrix, periods: int, *, seed: int = 0, start: int = 0
-) -> np.ndarray:
-    """Simulate the chain and return per-state occupation counts."""
-    cum = np.cumsum(P.entries, axis=1)
-    rng = np.random.default_rng(seed)
-    draws = rng.random(periods)
-    counts = np.zeros(P.entries.shape[0], dtype=np.int64)
-    state = start
-    for t in range(periods):
-        state = int(np.searchsorted(cum[state], draws[t]))
-        counts[state] += 1
-    return counts
-
-
 @dataclass(frozen=True)
 class LimitingResult:
     """Stationary distributions along an error ladder plus the stable support."""
@@ -355,7 +340,6 @@ class LimitingResult:
     eps_ladder: tuple[float, ...]
     table: dict[float, StationaryDist]
     support: tuple[int, ...]  # config indices stable across the last two rungs
-    limit: StationaryDist  # distribution at the smallest rung
 
 
 def limiting_distribution(
@@ -386,12 +370,7 @@ def limiting_distribution(
     stable = support_at(ladder[-1])
     if len(ladder) >= 2:
         stable &= support_at(ladder[-2])
-    return LimitingResult(
-        eps_ladder=ladder,
-        table=table,
-        support=tuple(sorted(stable)),
-        limit=table[ladder[-1]],
-    )
+    return LimitingResult(eps_ladder=ladder, table=table, support=tuple(sorted(stable)))
 
 
 @dataclass(frozen=True)

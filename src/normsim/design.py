@@ -75,20 +75,23 @@ def solve_H(params: CommunityParams, *, tol: float = 1e-9) -> float | None:
     """Largest real threshold below which a social threshold is feasible.
 
     Solves for the root of the incentive surplus by bisection, using that the
-    reward side decreases and the punishment side increases in h.  Returns
-    None when delta <= c/b (no threshold can work).
+    reward side decreases and the punishment side increases in h.  The
+    bracket doubles from [0, 1] until the surplus stops being positive, as it
+    does for every delta < 1.  Bisection stops at width ``tol``, or sooner
+    once no float lies between the bracket's ends (above 2**23 floats lie
+    further apart than the default 1e-9).  Returns None when delta <= c/b (no
+    threshold can work).
     """
     d, b, c = params.delta, params.b, params.c
     if not d > c / b:
         return None
-    lo = 0.0
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while _gap(d, b, c, hi) > 0:
         hi *= 2.0
-        if hi > 1e9:  # unreachable for delta < 1, defensive cap
-            return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _gap(d, b, c, mid) > 0:
             lo = mid
         else:

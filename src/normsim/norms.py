@@ -10,7 +10,8 @@ service threshold, a plain integer in 0..L+1 (serve the clients whose
 reputation is at least the threshold), and a census is its L+1 counts;
 ``payoff.model_arrays`` checks censuses, not this module.  Everything in
 this module is an immutable value object or a pure function and can be
-shared freely across workers.
+shared freely across workers.  The rule written out one entry at a time, an
+independent reference for the tables, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -136,57 +137,28 @@ class SocialNorm:
     def L(self) -> int:
         return self.params.L
 
-    @property
-    def defect_threshold(self) -> int:
-        """The fully non-cooperative service threshold (serve no one)."""
-        return self.params.L + 1
-
     def compliant_threshold(self, rep: int) -> int:
         """Service threshold the social rule prescribes for a user of ``rep``."""
-        self._check_rep(rep)
-        return int(self.compliant[rep])
-
-    def _check_rep(self, rep: int) -> None:
         if not 0 <= rep <= self.params.L:
             raise ValueError(
                 f"reputation {rep} outside {{0, ..., {self.params.L}}}"
             )
+        return int(self.compliant[rep])
 
 
-def strategy_serves(threshold: int, client_rep: int, L: int) -> int:
-    """Contribution level (0 or 1) of the service ``threshold`` toward a
-    client of ``client_rep``: threshold 0 serves everyone, L + 1 no one."""
-    if not 0 <= client_rep <= L:
-        raise ValueError(f"client reputation {client_rep} outside {{0, ..., {L}}}")
-    if not 0 <= threshold <= L + 1:
-        raise ValueError(f"threshold {threshold} outside {{0, ..., {L + 1}}}")
-    return 1 if client_rep >= threshold else 0
-
-
-def social_rule(norm: SocialNorm, server_rep: int, client_rep: int) -> int:
-    """Contribution level the social rule prescribes for (server, client).
-
-    Bad servers (below h) must serve everyone; good servers must serve
-    exactly the good clients.
-    """
-    norm._check_rep(server_rep)
-    norm._check_rep(client_rep)
-    return int(norm.phi[server_rep, client_rep])
-
-
-def reputation_update(
-    norm: SocialNorm, server_rep: int, client_rep: int, reported_z: int
-) -> int:
-    """Next reputation of the server given the (possibly flipped) report.
-
-    A report matching the prescribed contribution promotes the server by one
-    step (capped at L); any mismatch, in either direction, resets it to 0.
-    """
-    if reported_z not in (0, 1):
-        raise ValueError(f"reported contribution must be 0 or 1, got {reported_z}")
-    if reported_z == social_rule(norm, server_rep, client_rep):
-        return int(norm.up[server_rep])
-    return 0
+def params_from_dict(doc: dict) -> CommunityParams:
+    """CommunityParams from a config mapping's N, L, b, c and delta (all
+    required here) and optional epsilon and gamma; a malformed value raises
+    ConfigError."""
+    return CommunityParams(
+        N=config_number(doc["N"], "N", int),
+        L=config_number(doc["L"], "L", int),
+        b=config_number(doc["b"], "b"),
+        c=config_number(doc["c"], "c"),
+        delta=config_number(doc["delta"], "delta"),
+        epsilon=config_number(doc.get("epsilon", 0.0), "epsilon"),
+        gamma=config_number(doc.get("gamma", 1.0), "gamma"),
+    )
 
 
 _CONFIG_KEYS = ("N", "L", "b", "c", "delta", "epsilon", "gamma", "h")
@@ -200,16 +172,9 @@ def norm_from_dict(doc: dict) -> SocialNorm:
     missing = {"N", "L", "b", "c", "delta", "h"} - set(doc)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    params = CommunityParams(
-        N=config_number(doc["N"], "N", int),
-        L=config_number(doc["L"], "L", int),
-        b=config_number(doc["b"], "b"),
-        c=config_number(doc["c"], "c"),
-        delta=config_number(doc["delta"], "delta"),
-        epsilon=config_number(doc.get("epsilon", 0.0), "epsilon"),
-        gamma=config_number(doc.get("gamma", 1.0), "gamma"),
+    return SocialNorm(
+        params=params_from_dict(doc), h=config_number(doc["h"], "h", int)
     )
-    return SocialNorm(params=params, h=config_number(doc["h"], "h", int))
 
 
 def load_norm(path: str | Path) -> SocialNorm:

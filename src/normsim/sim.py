@@ -19,7 +19,9 @@ import numpy as np
 
 from .beliefs import updated_row
 from .bestresponse import solve_policy_batch
-from .norms import CommunityParams, ConfigError, SocialNorm, config_number
+from .norms import (
+    CommunityParams, ConfigError, SocialNorm, config_number, params_from_dict,
+)
 from .payoff import opponent_of
 
 SCHEMA_VERSION = 1
@@ -63,15 +65,8 @@ class ExperimentSpec:
             missing.add("delta")
         if missing:
             raise ConfigError(f"missing experiment keys: {sorted(missing)}")
-        params = CommunityParams(
-            N=config_number(doc["N"], "N", int),
-            L=config_number(doc["L"], "L", int),
-            b=config_number(doc["b"], "b"),
-            c=config_number(doc["c"], "c"),
-            delta=config_number(doc.get("delta", 0.5), "delta"),
-            epsilon=config_number(doc.get("epsilon", 0.0), "epsilon"),
-            gamma=config_number(doc.get("gamma", 1.0), "gamma"),
-        )
+        # delta-sweep and mixed specs may omit delta
+        params = params_from_dict({"delta": 0.5, **doc})
         init = doc.get("initial_reputation", "uniform")
         if init not in ("uniform", "zeros"):
             raise ConfigError(

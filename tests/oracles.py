@@ -1,14 +1,22 @@
-"""Reference solvers the program's solvers are checked against.
+"""References the program is checked against.
 
 ``value_iteration`` solves one user's adaptation problem by plain value
 iteration, independently of the policy iteration in
 ``normsim.bestresponse.solve_policy_batch``; it shares only the model
-(``payoff.model_arrays``) and the tie rule.
+(``payoff.model_arrays``) and the tie rule.  ``strategy_serves``,
+``social_rule`` and ``reputation_update`` write the protocol out one entry
+at a time, against ``SocialNorm``'s tables and the engine's reputation
+step.  ``sample_trajectory`` walks a chain kernel state by state, against
+its stationary distribution.
 """
+
+from __future__ import annotations
 
 import numpy as np
 
 from normsim.bestresponse import POLICY_TIE_ATOL
+from normsim.chain import TransitionMatrix
+from normsim.norms import SocialNorm
 from normsim.payoff import model_arrays
 
 TOLERANCE = 1e-10
@@ -60,3 +68,55 @@ def value_iteration(
     tied = qp >= qp.max(axis=1, keepdims=True) - POLICY_TIE_ATOL
     policy = prefer[qp.shape[1] - 1 - np.argmax(tied[:, ::-1], axis=1)]
     return policy, values, q, sweeps, residual
+
+
+def strategy_serves(threshold: int, client_rep: int, L: int) -> int:
+    """Contribution level (0 or 1) of the service ``threshold`` toward a
+    client of ``client_rep``: threshold 0 serves everyone, L + 1 no one."""
+    if not 0 <= client_rep <= L:
+        raise ValueError(f"client reputation {client_rep} outside {{0, ..., {L}}}")
+    if not 0 <= threshold <= L + 1:
+        raise ValueError(f"threshold {threshold} outside {{0, ..., {L + 1}}}")
+    return 1 if client_rep >= threshold else 0
+
+
+def social_rule(norm: SocialNorm, server_rep: int, client_rep: int) -> int:
+    """Contribution level the social rule prescribes for (server, client).
+
+    Bad servers (below h) must serve everyone; good servers must serve
+    exactly the good clients.
+    """
+    for rep in (server_rep, client_rep):
+        if not 0 <= rep <= norm.params.L:
+            raise ValueError(f"reputation {rep} outside {{0, ..., {norm.params.L}}}")
+    return int(norm.phi[server_rep, client_rep])
+
+
+def reputation_update(
+    norm: SocialNorm, server_rep: int, client_rep: int, reported_z: int
+) -> int:
+    """Next reputation of the server given the (possibly flipped) report.
+
+    A report matching the prescribed contribution promotes the server by one
+    step (capped at L); any mismatch, in either direction, resets it to 0.
+    """
+    if reported_z not in (0, 1):
+        raise ValueError(f"reported contribution must be 0 or 1, got {reported_z}")
+    if reported_z == social_rule(norm, server_rep, client_rep):
+        return int(norm.up[server_rep])
+    return 0
+
+
+def sample_trajectory(
+    P: TransitionMatrix, periods: int, *, seed: int = 0, start: int = 0
+) -> np.ndarray:
+    """Simulate the chain and return per-state occupation counts."""
+    cum = np.cumsum(P.entries, axis=1)
+    rng = np.random.default_rng(seed)
+    draws = rng.random(periods)
+    counts = np.zeros(P.entries.shape[0], dtype=np.int64)
+    state = start
+    for t in range(periods):
+        state = int(np.searchsorted(cum[state], draws[t]))
+        counts[state] += 1
+    return counts

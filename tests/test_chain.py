@@ -22,12 +22,12 @@ from normsim import (
     enumerate_configs,
     limiting_distribution,
     model_arrays,
-    sample_trajectory,
     stationary_distribution,
     stationary_linear,
 )
 from normsim.chain import _batch_policies, _census_rank, _closed_classes, _rank_offsets
 from normsim.norms import ConfigError
+from oracles import sample_trajectory
 
 
 def make_norm(N=6, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.01, h=1):
@@ -366,7 +366,7 @@ def test_limiting_support_feasible_parameters():
     space = enumerate_configs(6, 3)
     res = limiting_distribution(norm, space, eps_ladder=(1e-2, 1e-3, 1e-4))
     assert res.support == (space.muN,)
-    assert res.limit.weights[space.muN] > 0.99
+    assert res.table[res.eps_ladder[-1]].weights[space.muN] > 0.99
 
 
 def test_limiting_support_infeasible_parameters():

@@ -217,6 +217,15 @@ def test_design_csv(tmp_path, capsys):
     assert "delta,c_over_b" in capsys.readouterr().out
 
 
+def test_design_finishes_where_H_outgrows_the_float_spacing_of_tol(capsys):
+    # H is about 9.76e6 at this cell, where floats lie further apart than 1e-9
+    cell = ["--delta-grid", "0.99999999:0.99999999:1",
+            "--cb-grid", "0.000001:0.000001:1"]
+    assert main(["design", *cell]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert 9.7e6 < float(row[2]) < 9.8e6
+
+
 def test_design_rejects_bad_grid(capsys):
     for grid in ("oops", "0.1:inf:0.1", "nan:0.5:0.1"):
         assert main(["design", "--delta-grid", grid, "--cb-grid", "0.3:0.3:0.1"]) == 2

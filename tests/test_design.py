@@ -71,6 +71,16 @@ def test_solve_H_root_brackets_sign_change():
         assert _gap(delta, b, 1.0, H - 1e-6) >= 0 >= _gap(delta, b, 1.0, H + 1e-6)
 
 
+def test_solve_H_terminates_past_float_spacing_of_tol():
+    # H is about 3.16e9 here, past 2**30 and where adjacent floats lie
+    # further apart than tol; bisection still ends at the sign change
+    delta, cb = 1.0 - 1e-13, 1e-6
+    H = solve_H(make_params(b=1.0, c=cb, delta=delta))
+    assert 3e9 < H < 3.3e9
+    assert _gap(delta, 1.0, cb, math.nextafter(H, 0.0)) > 0
+    assert _gap(delta, 1.0, cb, math.nextafter(H, math.inf)) <= 0
+
+
 def test_feasibility_downward_closed():
     rng = np.random.default_rng(8)
     for _ in range(60):

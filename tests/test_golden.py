@@ -7,15 +7,22 @@ at two seeds, and the JSON printed by ``normsim chain`` and
 must match exactly; floats must match within 1e-12.
 
 Re-record only for a change that is meant to alter outputs, and say why in
-CHANGES.md:
+CHANGES.md.  Name the sections it alters (``simulate``, ``chain``,
+``bestresponse``): only those are recorded and spliced into the committed
+file, whose other sections keep their bytes.
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [section ...]
+
+With no names every section is recorded, and the ``chain`` section's
+stationary weights can then differ in their last bits from one host to
+another, within FLOAT_TOL.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -116,19 +123,20 @@ def _bestresponse_keys():
     ]
 
 
-def record() -> dict:
+SECTIONS = {
+    "simulate": lambda tmp: {
+        key: _simulate(key.split("/")[0], int(key.split("/")[1])) for key in _sim_keys()
+    },
+    "chain": lambda tmp: {name: _chain(name, tmp) for name in NORMS},
+    "bestresponse": lambda tmp: {
+        key: _bestresponse(*key.split("/"), tmp) for key in _bestresponse_keys()
+    },
+}
+
+
+def record(sections) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        return {
-            "simulate": {
-                key: _simulate(key.split("/")[0], int(key.split("/")[1]))
-                for key in _sim_keys()
-            },
-            "chain": {name: _chain(name, tmp) for name in NORMS},
-            "bestresponse": {
-                key: _bestresponse(*key.split("/"), tmp) for key in _bestresponse_keys()
-            },
-        }
+        return {name: SECTIONS[name](Path(tmp)) for name in sections}
 
 
 def assert_matches(got, want, where="$"):
@@ -173,5 +181,11 @@ def test_bestresponse_cli_matches_golden(golden, key, tmp_path):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - set(SECTIONS))
+    if unknown:
+        sys.exit(f"unknown sections {unknown}; choose from {list(SECTIONS)}")
+    doc = json.loads(GOLDEN.read_text()) if names else {}
+    doc.update(record(names or SECTIONS))
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {', '.join(names or SECTIONS)} to {GOLDEN}")

@@ -10,10 +10,8 @@ from normsim import (
     SocialNorm,
     load_norm,
     norm_from_dict,
-    reputation_update,
-    social_rule,
-    strategy_serves,
 )
+from oracles import reputation_update, social_rule, strategy_serves
 
 
 def make_norm(N=11, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, h=1):
@@ -109,7 +107,9 @@ def test_strategy_serves_threshold_semantics():
 def test_compliant_threshold():
     norm = make_norm(h=2)
     assert [norm.compliant_threshold(r) for r in range(4)] == [0, 0, 2, 2]
-    assert norm.defect_threshold == 4
+    for rep in (-1, 4):
+        with pytest.raises(ValueError, match="outside"):
+            norm.compliant_threshold(rep)
 
 
 def _plain_tables(L, h):

@@ -13,14 +13,13 @@ from normsim import (
     initial_state,
     run_evolution,
     run_experiment,
-    reputation_update,
     run_period,
-    strategy_serves,
     updated_row,
 )
 from normsim import sim
 from normsim.chain import build_transition_matrix, enumerate_configs
 from normsim.sim import _derangement, _first_settled, _redraw_benefits, run_adaptation
+from oracles import reputation_update, strategy_serves
 
 
 def make_norm(N=20, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, gamma=1.0, h=1):
