@@ -2,13 +2,14 @@
 
 The recorded data in ``golden.json`` pins what a refactor must not change:
 the Monte Carlo summaries and sampled time series of every simulation mode
-at two seeds, and the JSON printed by ``normsim chain`` and
-``normsim bestresponse``.  Integers (censuses, periods, policies, counts)
-must match exactly; floats must match within 1e-12.
+at two seeds, the JSON printed by ``normsim chain`` and
+``normsim bestresponse``, and ``bridge_occupancy``'s per-census visit
+counts.  Integers (censuses, periods, policies, counts) must match exactly;
+floats must match within 1e-12.
 
 Re-record only for a change that is meant to alter outputs, and say why in
 CHANGES.md.  Name the sections it alters (``simulate``, ``chain``,
-``bestresponse``): only those are recorded and spliced into the committed
+``bestresponse``, ``bridge``): only those are recorded and spliced into the committed
 file, whose other sections keep their bytes.
 
     PYTHONPATH=src python tests/test_golden.py [section ...]
@@ -28,8 +29,10 @@ from pathlib import Path
 
 import pytest
 
+from normsim.chain import enumerate_configs
 from normsim.cli import main
-from normsim.sim import ExperimentSpec, run_experiment
+from normsim.norms import norm_from_dict
+from normsim.sim import ExperimentSpec, bridge_occupancy, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FLOAT_TOL = 1e-12
@@ -59,6 +62,7 @@ NORMS = {
     "h2": {"N": 6, "L": 3, "b": 5, "c": 1, "delta": 0.8, "epsilon": 0.02, "h": 2},
 }
 BESTRESPONSE_ETAS = ("2,1,0,2", "0,0,0,5", "4,0,1,0")
+BRIDGE_RUN = {"periods": 20_000, "seed": 7, "stride": 5}
 
 
 def _spec_doc(mode: str, seed: int) -> dict:
@@ -110,6 +114,15 @@ def _bestresponse(name: str, eta: str, action_space: str, tmp: Path) -> dict:
     )
 
 
+def _bridge(name: str) -> list[int]:
+    norm = norm_from_dict(NORMS[name])
+    space = enumerate_configs(norm.params.N, norm.L)
+    return bridge_occupancy(
+        norm, space, BRIDGE_RUN["periods"], seed=BRIDGE_RUN["seed"],
+        stride=BRIDGE_RUN["stride"],
+    ).tolist()
+
+
 def _sim_keys():
     return [f"{mode}/{seed}" for mode in MODE_EXTRAS for seed in SEEDS]
 
@@ -131,6 +144,7 @@ SECTIONS = {
     "bestresponse": lambda tmp: {
         key: _bestresponse(*key.split("/"), tmp) for key in _bestresponse_keys()
     },
+    "bridge": lambda tmp: {name: _bridge(name) for name in NORMS},
 }
 
 
@@ -178,6 +192,11 @@ def test_chain_cli_matches_golden(golden, name, tmp_path):
 def test_bestresponse_cli_matches_golden(golden, key, tmp_path):
     name, eta, space = key.split("/")
     assert_matches(_bestresponse(name, eta, space, tmp_path), golden["bestresponse"][key], key)
+
+
+@pytest.mark.parametrize("name", sorted(NORMS))
+def test_bridge_occupancy_matches_golden(golden, name):
+    assert_matches(_bridge(name), golden["bridge"][name], name)
 
 
 if __name__ == "__main__":
