@@ -27,6 +27,9 @@ from .payoff import model_arrays, opponent_of
 POLICY_TIE_ATOL = 1e-9
 # verify_threshold_structure's value-gap bound and tie band
 STRUCTURE_TOL = 1e-8
+# solve_policy_batch raises once its policies have not settled in this many
+# rounds
+MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -65,29 +68,18 @@ def best_response(
     eta,
     *,
     serve: np.ndarray | None = None,
-    b: float | None = None,
-    delta: float | None = None,
     epsilon: float | None = None,
-    belief_rows: np.ndarray | None = None,
 ) -> BestResponseSolution:
     """One user's best response against a fixed opponent census ``eta``
-    (L+1 counts summing to N-1): a one-row call of ``solve_policy_batch``.
+    (L+1 counts summing to N-1) under the baseline belief: a one-row call of
+    ``solve_policy_batch``.
 
-    serve        (A, L+1) service sets to choose from; default the norm's
-                 L+2 threshold actions, so that a policy entry is a threshold
-    belief_rows  (L+1, L+2) belief matrix over opponents' thresholds;
-                 default the baseline belief
-    b, delta and epsilon replace the norm's benefit, discount and error rate.
+    serve    (A, L+1) service sets to choose from; default the norm's L+2
+             threshold actions, so that a policy entry is a threshold
+    epsilon  replaces the norm's error rate
     """
-    dlt = norm.params.delta if delta is None else delta
     policies, values, _, q, rounds = solve_policy_batch(
-        norm,
-        [eta],
-        [dlt],
-        serve=serve,
-        belief_rows=None if belief_rows is None else np.asarray(belief_rows)[None],
-        bs=b,
-        epsilon=epsilon,
+        norm, [eta], [norm.params.delta], serve=serve, epsilon=epsilon
     )
     return BestResponseSolution(
         policy=policies[0],
@@ -198,7 +190,6 @@ def solve_policy_batch(
     belief_rows: np.ndarray | None = None,
     bs: np.ndarray | None = None,
     epsilon: float | None = None,
-    max_rounds: int = 200,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Exact best responses for a batch of users sharing one MDP shape.
 
@@ -221,7 +212,7 @@ def solve_policy_batch(
     ``POLICY_TIE_ATOL`` of the best tie, and ties go to the action serving
     fewest clients (the larger threshold; among service sets of one size,
     the later row of ``serve``).  Raises RuntimeError if the policies have
-    not settled within ``max_rounds`` rounds.
+    not settled within ``MAX_ROUNDS`` rounds.
     """
     L = norm.params.L
     S = L + 1
@@ -249,7 +240,7 @@ def solve_policy_batch(
 
     policies = np.full((K, S), last, dtype=np.int64)
     prev_values = None
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         # exact evaluation of the current policies: from r the user resets to
         # 0 or climbs to up[r] >= 1, so each row of T has two distinct entries
         p0 = reset[kk, rr, policies]
@@ -274,7 +265,7 @@ def solve_policy_batch(
         policies = new_policies
     else:
         raise RuntimeError(
-            f"policy iteration did not settle within {max_rounds} rounds"
+            f"policy iteration did not settle within {MAX_ROUNDS} rounds"
         )
     if order is not None:
         policies = order[policies]

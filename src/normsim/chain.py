@@ -110,21 +110,22 @@ class StationaryDist:
         object.__setattr__(self, "weights", np.clip(w, 0.0, None) / w.sum())
 
 
-def enumerate_configs(N: int, L: int, cap: int = DEFAULT_SPACE_CAP) -> ConfigSpace:
+def enumerate_configs(N: int, L: int) -> ConfigSpace:
     """Enumerate every census of N users over reputations 0..L.
 
-    The space has binomial(N+L, L) members; sizes beyond ``cap`` are refused
-    because two dense matrices of that size coexist downstream (a kernel and
-    its GTH copy).  The default admits N <= 42 at L = 3.  The censuses come
+    The space has binomial(N+L, L) members; sizes beyond
+    ``DEFAULT_SPACE_CAP`` are refused because two dense matrices of that size
+    coexist downstream (a kernel and its GTH copy).  The cap admits N <= 42
+    at L = 3.  The censuses come
     from stars and bars: each choice of L bar positions among N+L slots,
     taken in lexicographic order, leaves the gaps between bars as the counts,
     which are then in lexicographic order too.
     """
     size = math.comb(N + L, L)
-    if size > cap:
+    if size > DEFAULT_SPACE_CAP:
         raise ConfigError(
             f"census space has {size} members for N={N}, L={L}, above the cap "
-            f"{cap}; reduce N (or L) for exact chain analysis"
+            f"{DEFAULT_SPACE_CAP}; reduce N (or L) for exact chain analysis"
         )
     bars = np.array(list(itertools.combinations(range(N + L), L)), dtype=np.int64)
     counts = np.diff(bars, axis=1, prepend=-1, append=N + L) - 1

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .norms import CommunityParams, SocialNorm
 
+H_TOL = 1e-9  # solve_H's bisection width
+
 
 @dataclass(frozen=True)
 class AbsorbingBounds:
@@ -71,15 +73,15 @@ def feasibility_test(params: CommunityParams, h: int) -> bool:
     return _gap(params.delta, params.b, params.c, h) > 0.0
 
 
-def solve_H(params: CommunityParams, *, tol: float = 1e-9) -> float | None:
+def solve_H(params: CommunityParams) -> float | None:
     """Largest real threshold below which a social threshold is feasible.
 
     Solves for the root of the incentive surplus by bisection, using that the
     reward side decreases and the punishment side increases in h.  The
     bracket doubles from [0, 1] until the surplus stops being positive, as it
-    does for every delta < 1.  Bisection stops at width ``tol``, or sooner
+    does for every delta < 1.  Bisection stops at width ``H_TOL``, or sooner
     once no float lies between the bracket's ends (above 2**23 floats lie
-    further apart than the default 1e-9).  Returns None when delta <= c/b (no
+    further apart than 1e-9).  Returns None when delta <= c/b (no
     threshold can work).
     """
     d, b, c = params.delta, params.b, params.c
@@ -88,7 +90,7 @@ def solve_H(params: CommunityParams, *, tol: float = 1e-9) -> float | None:
     lo, hi = 0.0, 1.0
     while _gap(d, b, c, hi) > 0:
         hi *= 2.0
-    while hi - lo > tol:
+    while hi - lo > H_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

@@ -4,15 +4,17 @@ Each period every user requests one service and serves exactly one request
 (a random matching with no self-matches), contributions are reported with an
 error rate, reputations update from the reports, and each user recomputes
 its best response with the adaptation probability gamma against the posted
-census.  Supports heterogeneous discount groups, per-period random benefits,
-and adaptive belief matrices learned from own transactions.
+census, which the engine reads from the users' reputations.  Supports
+heterogeneous discount groups, per-period random benefits, and adaptive
+belief matrices learned from own transactions.  One period loop plays every
+trajectory: ``run_evolution`` samples it and ``bridge_occupancy`` tallies it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +36,19 @@ _SPEC_KEYS = {
     "periods", "sample_stride", "seed", "initial_reputation",
     "groups", "b_mean", "b_var", "delta_grid",
 }
+# the spec fields each mode requires; every other mode must leave them None
+_MODE_KEYS = {
+    "delta-sweep": ("delta_grid",),
+    "mixed": ("groups",),
+    "varying-b": ("b_mean", "b_var"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated description of one simulation experiment."""
+    """Validated description of one simulation experiment; every value is
+    checked on construction, so ``dataclasses.replace`` checks its result
+    as ``from_dict`` does."""
 
     mode: str
     params: CommunityParams
@@ -54,95 +64,80 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
+        """Parse a plain mapping; the checks are ``__post_init__``'s."""
         unknown = set(doc) - _SPEC_KEYS
         if unknown:
             raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-        mode = doc.get("mode")
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        missing = {"N", "L", "b", "c", "h", "periods"} - set(doc)
-        if mode not in ("delta-sweep", "mixed") and "delta" not in doc:
+        missing = {"mode", "N", "L", "b", "c", "h", "periods"} - set(doc)
+        if doc.get("mode") not in ("delta-sweep", "mixed") and "delta" not in doc:
             missing.add("delta")
         if missing:
             raise ConfigError(f"missing experiment keys: {sorted(missing)}")
-        # delta-sweep and mixed specs may omit delta
-        params = params_from_dict({"delta": 0.5, **doc})
-        init = doc.get("initial_reputation", "uniform")
-        if init not in ("uniform", "zeros"):
-            raise ConfigError(
-                f"initial_reputation must be 'uniform' or 'zeros', got {init!r}"
-            )
-        groups = None
-        if mode == "mixed":
-            raw = doc.get("groups")
-            if not (raw and isinstance(raw, list)
-                    and all(isinstance(g, dict) for g in raw)):
-                raise ConfigError("mixed mode requires a nonempty 'groups' list of objects")
+        groups = delta_grid = None
+        if "groups" in doc:
+            raw = doc["groups"]
+            if not (isinstance(raw, list) and all(isinstance(g, dict) for g in raw)):
+                raise ConfigError("'groups' must be a list of objects")
             groups = tuple(
                 (config_number(g.get("size"), "group size", int),
                  config_number(g.get("delta"), "group delta"))
                 for g in raw
             )
-            for size, delta in groups:
-                if size < 1:
-                    raise ConfigError("group sizes must be positive")
-                if not 0.0 <= delta < 1.0:
-                    raise ConfigError(f"group delta {delta} outside [0, 1)")
-            if sum(s for s, _ in groups) != params.N:
-                raise ConfigError("group sizes must sum to N")
-        elif "groups" in doc:
-            raise ConfigError("'groups' is only valid in mixed mode")
-        b_mean = b_var = None
-        if mode == "varying-b":
-            if "b_mean" not in doc or "b_var" not in doc:
-                raise ConfigError("varying-b mode requires 'b_mean' and 'b_var'")
-            b_mean = config_number(doc["b_mean"], "b_mean")
-            b_var = config_number(doc["b_var"], "b_var")
-            if b_var < 0:
-                raise ConfigError("b_var must be nonnegative")
-        elif "b_mean" in doc or "b_var" in doc:
-            raise ConfigError("'b_mean'/'b_var' are only valid in varying-b mode")
-        delta_grid = None
-        if mode == "delta-sweep":
-            raw = doc.get("delta_grid")
-            if not raw or not isinstance(raw, list):
-                raise ConfigError("delta-sweep mode requires a 'delta_grid' list")
-            delta_grid = tuple(config_number(d, "grid delta") for d in raw)
-            for d in delta_grid:
-                if not 0.0 <= d < 1.0:
-                    raise ConfigError(f"grid delta {d} outside [0, 1)")
-        elif "delta_grid" in doc:
-            raise ConfigError("'delta_grid' is only valid in delta-sweep mode")
+        if "delta_grid" in doc:
+            if not isinstance(doc["delta_grid"], list):
+                raise ConfigError("'delta_grid' must be a list")
+            delta_grid = tuple(config_number(d, "grid delta") for d in doc["delta_grid"])
         return cls(
-            mode=mode,
-            params=params,
+            mode=doc["mode"],
+            # delta-sweep and mixed specs may omit delta
+            params=params_from_dict({"delta": 0.5, **doc}),
             h=config_number(doc["h"], "h", int),
             periods=config_number(doc["periods"], "periods", int),
-            sample_stride=config_number(
-                doc.get("sample_stride", 1000), "sample_stride", int
-            ),
+            sample_stride=config_number(doc.get("sample_stride", 1000), "sample_stride", int),
             seed=config_number(doc.get("seed", 0), "seed", int),
-            initial_reputation=init,
+            initial_reputation=doc.get("initial_reputation", "uniform"),
             groups=groups,
-            b_mean=b_mean,
-            b_var=b_var,
+            b_mean=config_number(doc["b_mean"], "b_mean") if "b_mean" in doc else None,
+            b_var=config_number(doc["b_var"], "b_var") if "b_var" in doc else None,
             delta_grid=delta_grid,
         )
 
     def __post_init__(self):
-        if self.periods < 1:
-            raise ConfigError("periods must be positive")
-        if self.sample_stride < 1:
-            raise ConfigError("sample_stride must be positive")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for mode, keys in _MODE_KEYS.items():
+            for key in keys:
+                if (getattr(self, key) is None) == (mode == self.mode):
+                    raise ConfigError(
+                        f"{mode} mode requires {key!r}" if mode == self.mode
+                        else f"{key!r} is only valid in {mode} mode"
+                    )
+        if self.initial_reputation not in ("uniform", "zeros"):
+            raise ConfigError("initial_reputation must be 'uniform' or 'zeros', "
+                              f"got {self.initial_reputation!r}")
+        for name in ("periods", "sample_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.groups is not None:
+            if any(size < 1 for size, _ in self.groups):
+                raise ConfigError("group sizes must be positive")
+            if sum(size for size, _ in self.groups) != self.params.N:
+                raise ConfigError("group sizes must sum to N")
+        if self.delta_grid == ():
+            raise ConfigError("'delta_grid' must be nonempty")
+        deltas = [d for _, d in self.groups or ()] + list(self.delta_grid or ())
+        bad = [d for d in deltas if not 0.0 <= d < 1.0]
+        if bad:
+            raise ConfigError(f"group or grid deltas {bad} outside [0, 1)")
+        if self.b_var is not None and self.b_var < 0:
+            raise ConfigError("b_var must be nonnegative")
         # above the floor, each truncated draw is accepted with probability
         # above 1/2, so ``_redraw_benefits`` ends
         if self.b_mean is not None and not self.b_mean > self.b_floor:
-            raise ConfigError(
-                f"b_mean must exceed c + {BENEFIT_MARGIN:g}={self.b_floor}, "
-                f"got {self.b_mean}"
-            )
+            raise ConfigError(f"b_mean must exceed c + {BENEFIT_MARGIN:g}="
+                              f"{self.b_floor}, got {self.b_mean}")
 
     @property
     def b_floor(self) -> float:
@@ -152,7 +147,10 @@ class ExperimentSpec:
 
 @dataclass
 class SimState:
-    """Mutable community state: one entry per user in each array."""
+    """Mutable community state of one run: one entry per user in each array,
+    and ``table``, which maps (census, delta) to the thresholds solved for
+    each occupied reputation under the baseline belief and the norm's
+    benefit (see ``run_adaptation``)."""
 
     rep: np.ndarray  # current reputations
     thr: np.ndarray  # current service thresholds
@@ -160,6 +158,7 @@ class SimState:
     bs: np.ndarray  # personal per-period benefit values
     belief_rows: np.ndarray | None = None  # (N, L+1, L+2) when adaptive
     belief_counts: np.ndarray | None = None  # (N, L+1) transaction counters
+    table: dict = field(default_factory=dict)
 
     @property
     def N(self) -> int:
@@ -288,47 +287,40 @@ def _best_thresholds(norm, mu_counts, reps, deltas, *, bs=None, belief_rows=None
     return policies[np.arange(reps.size), reps]
 
 
-def run_adaptation(
-    state: SimState,
-    norm: SocialNorm,
-    mu,
-    rng: np.random.Generator,
-    table: dict | None = None,
-) -> None:
+def run_adaptation(state: SimState, norm: SocialNorm, rng: np.random.Generator) -> None:
     """Each user recomputes its best response with probability gamma.
 
-    The best response is solved against the posted census ``mu`` (the L+1
-    counts of every user's current reputation) with the user itself
+    The best response is solved against the posted census (the L+1 counts of
+    every user's current reputation in ``state.rep``) with the user itself
     removed, at the user's personal discount factor and benefit, and with its
-    own belief matrix when it maintains one.  The user's new threshold is the policy
-    entry at its current reputation.
+    own belief matrix when it maintains one.  The user's new threshold is the
+    policy entry at its current reputation.
 
-    ``table`` maps (census, delta) to the thresholds played at each occupied
-    reputation, solved on a miss.  It is valid only while every user has the
-    baseline belief and the norm's benefit, so ``varying-b`` and
-    ``adaptive-belief`` runs pass None and solve every adapter on its own row.
+    While no user keeps a belief matrix and every benefit is the norm's, a
+    user's answer depends only on the census and its delta, so it is read
+    from ``state.table``, solved for every occupied reputation on a miss.
+    Otherwise each adapter is solved on its own row and the table is left
+    alone.
     """
     adapt = np.flatnonzero(rng.random(state.N) < norm.params.gamma)
     if adapt.size == 0:
         return
-    mu_counts = np.asarray(mu, dtype=float)
+    mu = state.census(norm.params.L)
     reps, deltas = state.rep[adapt], state.deltas[adapt]
-    if (mu_counts[reps] == 0).any():
-        raise ValueError("the census does not count an adapting user's reputation")
-    if table is None:
+    if state.belief_rows is not None or (state.bs != norm.params.b).any():
         beliefs = None if state.belief_rows is None else state.belief_rows[adapt]
         state.thr[adapt] = _best_thresholds(
-            norm, mu_counts, reps, deltas, bs=state.bs[adapt], belief_rows=beliefs
+            norm, mu, reps, deltas, bs=state.bs[adapt], belief_rows=beliefs
         )
         return
-    occupied = np.flatnonzero(mu_counts)
-    census = tuple(mu)
+    occupied = np.flatnonzero(mu)
+    census = tuple(mu.tolist())
     for delta in np.unique(deltas):
-        thr = table.get((census, delta))
+        thr = state.table.get((census, delta))
         if thr is None:
-            thr = np.zeros_like(mu_counts, dtype=np.int64)
-            thr[occupied] = _best_thresholds(norm, mu_counts, occupied, delta)
-            table[(census, delta)] = thr
+            thr = np.zeros_like(mu)
+            thr[occupied] = _best_thresholds(norm, mu, occupied, delta)
+            state.table[(census, delta)] = thr
         sel = deltas == delta
         state.thr[adapt[sel]] = thr[reps[sel]]
 
@@ -346,6 +338,17 @@ def _redraw_benefits(state, spec, rng) -> None:
     state.bs = draws
 
 
+def _trajectory(state, norm, rng, periods, spec=None):
+    """Play ``periods`` periods in place, yielding each one's metrics: redraw
+    the benefits (a varying-b ``spec`` only), adapt, then play."""
+    redraw = spec is not None and spec.mode == "varying-b"
+    for period in range(1, periods + 1):
+        if redraw:
+            _redraw_benefits(state, spec, rng)
+        run_adaptation(state, norm, rng)
+        yield run_period(state, norm, rng, period)
+
+
 def run_evolution(
     spec: ExperimentSpec,
     *,
@@ -361,27 +364,15 @@ def run_evolution(
     rng = np.random.default_rng(run_seed)
     deltas = None
     if spec.groups is not None:
-        deltas = np.concatenate(
-            [np.full(size, d) for size, d in spec.groups]
-        )
+        deltas = np.concatenate([np.full(size, d) for size, d in spec.groups])
     state = initial_state(
-        norm,
-        rng,
-        initial_reputation=spec.initial_reputation,
-        deltas=deltas,
+        norm, rng, initial_reputation=spec.initial_reputation, deltas=deltas,
         adaptive=spec.mode == "adaptive-belief",
     )
-    table = None if spec.mode in ("varying-b", "adaptive-belief") else {}
-    samples: list[PeriodMetrics] = []
-    mu = tuple(state.census(params.L).tolist())
-    for period in range(1, spec.periods + 1):
-        if spec.mode == "varying-b":
-            _redraw_benefits(state, spec, rng)
-        run_adaptation(state, norm, mu, rng, table)
-        metrics = run_period(state, norm, rng, period)
-        mu = metrics.census
-        if period % spec.sample_stride == 0 or period == spec.periods:
-            samples.append(metrics)
+    samples = [
+        m for m in _trajectory(state, norm, rng, spec.periods, spec)
+        if m.period % spec.sample_stride == 0 or m.period == spec.periods
+    ]
     summary = _summarize(spec, norm, state, samples, run_seed)
     return samples, summary
 
@@ -430,32 +421,26 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
     ``summary.json`` when ``out_dir`` is given.  Deterministic given the
     spec's seed.
     """
-    if spec.mode == "delta-sweep":
-        runs = []
-        for d in spec.delta_grid:
-            samples, summary = run_evolution(spec, delta=d)
+    runs = []
+    for d in spec.delta_grid or (None,):
+        samples, summary = run_evolution(spec, delta=d)
+        if d is not None:
             summary["delta"] = d
-            runs.append((d, samples, summary))
-        top = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": spec.mode,
-            "seed": spec.seed,
-            "sweep": [summary for _, _, summary in runs],
-        }
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            for d, samples, _ in runs:
-                _write_timeseries(out / f"timeseries_delta_{d:g}.csv", samples)
-            (out / "summary.json").write_text(json.dumps(top, indent=2))
-        return top
-    samples, summary = run_evolution(spec)
+        name = "timeseries.csv" if d is None else f"timeseries_delta_{d:g}.csv"
+        runs.append((name, samples, summary))
+    top = runs[0][2] if spec.delta_grid is None else {
+        "schema_version": SCHEMA_VERSION,
+        "mode": spec.mode,
+        "seed": spec.seed,
+        "sweep": [summary for _, _, summary in runs],
+    }
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_timeseries(out / "timeseries.csv", samples)
-        (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    return summary
+        for name, samples, _ in runs:
+            _write_timeseries(out / name, samples)
+        (out / "summary.json").write_text(json.dumps(top, indent=2))
+    return top
 
 
 def bridge_occupancy(
@@ -478,15 +463,10 @@ def bridge_occupancy(
     """
     rng = np.random.default_rng(seed)
     state = initial_state(norm, rng, initial_reputation="uniform")
-    table: dict = {}
-    visits: Counter = Counter()
-    mu = tuple(state.census(norm.params.L).tolist())
-    for period in range(1, periods + 1):
-        run_adaptation(state, norm, mu, rng, table)
-        metrics = run_period(state, norm, rng, period)
-        mu = metrics.census
-        if period > burn_in and period % stride == 0:
-            visits[mu] += 1
+    visits = Counter(
+        m.census for m in _trajectory(state, norm, rng, periods)
+        if m.period > burn_in and m.period % stride == 0
+    )
     counts = np.zeros(len(space), dtype=np.int64)
     for census, k in visits.items():
         counts[space.index_of(census)] = k

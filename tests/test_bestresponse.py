@@ -16,6 +16,7 @@ from normsim import (
     subset_serve,
     verify_threshold_structure,
 )
+from normsim import bestresponse
 from oracles import value_iteration
 
 
@@ -172,30 +173,32 @@ def test_batch_solver_matches_scalar_solver():
         )[:2]
         assert len({tuple(row) for row in policies}) >= 3
         for k in range(K):
-            sol = best_response(
+            policy, value = solve_policy_batch(
                 norm,
-                etas[k],
-                delta=float(deltas[k]),
-                b=float(bs[k]),
-                belief_rows=None if beliefs is None else beliefs[k],
-            )
-            assert np.abs(values[k] - sol.values).max() < 1e-7
-            assert (policies[k] == sol.policy).all()
+                etas[k : k + 1].astype(float),
+                [deltas[k]],
+                bs=bs[k : k + 1],
+                belief_rows=None if beliefs is None else beliefs[k : k + 1],
+            )[:2]
+            assert np.abs(values[k] - value[0]).max() < 1e-7
+            assert (policies[k] == policy[0]).all()
 
 
-def test_batch_solver_raises_when_policies_do_not_settle():
+def test_batch_solver_raises_when_policies_do_not_settle(monkeypatch):
     # against an all-top census the best response complies, which policy
     # iteration cannot reach from its all-defect start in one round
     norm = make_norm(N=11)
     etas = np.array([[0.0, 0.0, 0.0, 10.0]])
     policies, *_, rounds = solve_policy_batch(norm, etas, [0.6])
     assert (policies[0] != 4).any()
-    # rounds is the fewest max_rounds that settle, and what the one-user
+    # rounds is the fewest MAX_ROUNDS that settle, and what the one-user
     # entry point reports as its iterations
     assert rounds == best_response(norm, etas[0]).iterations > 1
-    solve_policy_batch(norm, etas, [0.6], max_rounds=rounds)
+    monkeypatch.setattr(bestresponse, "MAX_ROUNDS", rounds)
+    solve_policy_batch(norm, etas, [0.6])
+    monkeypatch.setattr(bestresponse, "MAX_ROUNDS", rounds - 1)
     with pytest.raises(RuntimeError, match="did not settle"):
-        solve_policy_batch(norm, etas, [0.6], max_rounds=rounds - 1)
+        solve_policy_batch(norm, etas, [0.6])
 
 
 def test_structural_policy_properties():
@@ -277,10 +280,17 @@ def test_batch_solver_matches_value_iteration_oracle(
         assert np.abs(values[k] - want).max() <= 1e-9 * scale
         assert np.abs(q[k] - want_q).max() <= 1e-9 * scale
         assert np.abs(q[k].max(axis=1) - values[k]).max() <= 1e-9
-    # the one-user entry point reports the Bellman residual of its values
-    first = None if beliefs is None else beliefs[0]
-    sol = best_response(norm, etas[0], serve=serve, belief_rows=first)
-    assert (sol.policy == policies[0]).all() and sol.residual <= 1e-9
+    # a one-row call answers as the batch does; under the baseline belief it
+    # is the one-user entry point, which reports the Bellman residual
+    if beliefs is None:
+        sol = best_response(norm, etas[0], serve=serve)
+        assert (sol.policy == policies[0]).all() and sol.residual <= 1e-9
+    else:
+        policy, value, _, one_q, _ = solve_policy_batch(
+            norm, etas[:1], [delta], serve=serve, belief_rows=beliefs[:1]
+        )
+        assert (policy[0] == policies[0]).all()
+        assert np.abs(one_q[0].max(axis=1) - value[0]).max() <= 1e-9
 
 
 def _model_arrays_reference(norm, etas, *, epsilon=None, bs=None, belief_rows=None):

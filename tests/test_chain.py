@@ -72,9 +72,12 @@ def test_index_of_rejects_non_census(census):
         enumerate_configs(5, 3).index_of(census)
 
 
-def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        enumerate_configs(200, 3, cap=1000)
+def test_enumeration_cap(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(normsim.chain, "DEFAULT_SPACE_CAP", 1000)
+        for N in (200, 20):  # 20 is under the default cap, not this one
+            with pytest.raises(ValueError):
+                enumerate_configs(N, 3)
     # the default cap keeps two dense kernels (a kernel and its GTH copy) in memory
     assert len(enumerate_configs(40, 3)) == 12341
     with pytest.raises(ConfigError, match="above the cap"):
@@ -182,7 +185,8 @@ def test_transition_matrix_rejects_non_finite_entries():
         TransitionMatrix(epsilon=0.1, entries=np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="rows must sum to 1"):
         TransitionMatrix(epsilon=0.1, entries=[[1.0, 0.0], [np.nan, 1.0]])
-    with pytest.raises(ValueError, match="rows must sum to 1"):
+    # inf - inf is NaN, which numpy announces as it sums the row
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="rows must sum to 1"):
         TransitionMatrix(epsilon=0.1, entries=[[np.inf, -np.inf], [0.5, 0.5]])
 
 

@@ -1,4 +1,3 @@
-import functools
 import json
 
 import pytest
@@ -252,8 +251,7 @@ def test_bestresponse_solver_error_is_an_invariant_violation(
 ):
     # against an all-top census policy iteration needs two rounds, so one
     # round makes the solver raise, and the command exits 1, not 2
-    one_round = functools.partial(bestresponse.solve_policy_batch, max_rounds=1)
-    monkeypatch.setattr(bestresponse, "solve_policy_batch", one_round)
+    monkeypatch.setattr(bestresponse, "MAX_ROUNDS", 1)
     code = main(["bestresponse", "--config", str(norm_file), "--eta", "0,0,0,5"])
     assert code == 1
     err = capsys.readouterr().err

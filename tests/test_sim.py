@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from normsim import (
 )
 from normsim import sim
 from normsim.chain import build_transition_matrix, enumerate_configs
-from normsim.sim import _derangement, _first_settled, _redraw_benefits, run_adaptation
+from normsim.sim import (
+    _best_thresholds, _derangement, _first_settled, _redraw_benefits, run_adaptation,
+)
 from oracles import reputation_update, strategy_serves
 
 
@@ -84,6 +87,36 @@ def test_spec_group_sizes_must_sum_to_population():
     doc["groups"][1]["size"] = 10
     spec = ExperimentSpec.from_dict(doc)
     assert spec.groups == ((10, 0.3), (10, 0.6))
+
+
+def test_replaced_spec_is_checked_like_a_parsed_one():
+    doc = base_doc(mode="mixed", groups=[{"size": 20, "delta": 0.5}])
+    del doc["delta"]
+    mixed = ExperimentSpec.from_dict(doc)
+    sweep = ExperimentSpec.from_dict(base_doc(mode="delta-sweep", delta_grid=[0.3]))
+    evolution = ExperimentSpec.from_dict(base_doc())
+    for spec, change in [
+        (mixed, {"groups": ((0, 0.5),)}),
+        (mixed, {"groups": ((20, 1.0),)}),
+        (mixed, {"groups": ((10, 0.5),)}),
+        (sweep, {"delta_grid": (0.3, 1.0)}),
+        (sweep, {"delta_grid": ()}),
+        (sweep, {"delta_grid": None}),
+        (evolution, {"groups": ((20, 0.5),)}),
+        (evolution, {"b_var": 0.5}),
+        (evolution, {"mode": "varying-b"}),
+        (evolution, {"periods": 0}),
+        (evolution, {"sample_stride": 0}),
+        (evolution, {"seed": -1}),
+        (evolution, {"initial_reputation": "ones"}),
+    ]:
+        with pytest.raises(ConfigError):
+            replace(spec, **change)
+    varying = replace(evolution, mode="varying-b", b_mean=3.0, b_var=0.5)
+    with pytest.raises(ConfigError):
+        replace(varying, b_var=-1.0)
+    with pytest.raises(ConfigError):
+        replace(varying, b_mean=1.0)
 
 
 def test_derangement_has_no_self_matches():
@@ -190,12 +223,8 @@ def test_adaptation_defects_against_empty_community():
     norm = make_norm(N=10, gamma=1.0, delta=0.3)
     rng = np.random.default_rng(6)
     state = initial_state(norm, rng, initial_reputation="zeros")
-    run_adaptation(state, norm, (10, 0, 0, 0), rng)
+    run_adaptation(state, norm, rng)
     assert (state.thr == 4).all()
-
-
-def _census(state, L=3):
-    return tuple(int(n) for n in state.census(L))
 
 
 def _census_states(norm, deltas):
@@ -208,17 +237,29 @@ def _census_states(norm, deltas):
         yield state
 
 
+def _solved_one_by_one(state, norm, seed):
+    """Thresholds after ``run_adaptation(state, norm, default_rng(seed))``,
+    with every adapter solved on its own row."""
+    adapt = np.flatnonzero(np.random.default_rng(seed).random(state.N) < norm.params.gamma)
+    beliefs = None if state.belief_rows is None else state.belief_rows[adapt]
+    thr = state.thr.copy()
+    thr[adapt] = _best_thresholds(
+        norm, state.census(norm.params.L), state.rep[adapt], state.deltas[adapt],
+        bs=state.bs[adapt], belief_rows=beliefs,
+    )
+    return thr
+
+
 @pytest.mark.parametrize("mixed", [False, True])
 def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
     norm = make_norm(N=15, gamma=0.7, epsilon=0.05)
     deltas = np.repeat([0.3, 0.6, 0.9], 5) if mixed else None
     table, played = {}, []
     for seed, state in enumerate(_census_states(norm, deltas)):
-        solo = SimState_copy(state)
-        mu = _census(state)
-        run_adaptation(state, norm, mu, np.random.default_rng(50 + seed), table)
-        run_adaptation(solo, norm, mu, np.random.default_rng(50 + seed), None)
-        assert (state.thr == solo.thr).all()
+        state.table = table  # one table across the states
+        want = _solved_one_by_one(state, norm, 50 + seed)
+        run_adaptation(state, norm, np.random.default_rng(50 + seed))
+        assert (state.thr == want).all()
         played.append(state.thr)
     assert {delta for _, delta in table} == ({0.3, 0.6, 0.9} if mixed else {0.6})
 
@@ -228,27 +269,36 @@ def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
 
     monkeypatch.setattr(sim, "solve_policy_batch", no_solve)
     for seed, state in enumerate(_census_states(norm, deltas)):
-        mu = _census(state)
-        run_adaptation(state, norm, mu, np.random.default_rng(50 + seed), table)
+        state.table = table
+        run_adaptation(state, norm, np.random.default_rng(50 + seed))
         assert (state.thr == played[seed]).all()
 
 
-def test_adaptation_rejects_census_missing_an_adapter():
-    norm = make_norm(N=10, gamma=1.0)
-    state = initial_state(norm, np.random.default_rng(6), initial_reputation="zeros")
-    mu = (0, 0, 0, 10)
-    for table in ({}, None):
-        with pytest.raises(ValueError):
-            run_adaptation(state, norm, mu, np.random.default_rng(6), table)
-
-
-def test_adaptation_table_keys_any_census_sequence_as_a_tuple():
-    norm = make_norm(N=10, gamma=1.0)
-    state = initial_state(norm, np.random.default_rng(6), initial_reputation="zeros")
-    table = {}
-    for mu in ([10, 0, 0, 0], np.array([10, 0, 0, 0]), (10, 0, 0, 0)):
-        run_adaptation(state, norm, mu, np.random.default_rng(6), table)
-    assert list(table) == [((10, 0, 0, 0), 0.6)]
+@pytest.mark.parametrize("mode", ["adaptive-belief", "varying-b", "evolution"])
+def test_adaptation_uses_the_table_only_where_it_fits(mode):
+    # learned beliefs or personal benefits make each adapter's answer its
+    # own, so those states solve every adapter on its own row and never read
+    # or write the table, not even an entry for the current census
+    spec = ExperimentSpec.from_dict(base_doc(mode=mode, N=40, gamma=0.5, **(
+        {"b_mean": 3.0, "b_var": 1.0} if mode == "varying-b" else {}
+    )))
+    norm = SocialNorm(params=spec.params, h=spec.h)
+    rng = np.random.default_rng(3)
+    state = initial_state(norm, rng, adaptive=mode == "adaptive-belief")
+    for period in range(1, 31):
+        if mode == "varying-b":
+            _redraw_benefits(state, spec, rng)
+        if mode != "evolution":
+            # an entry for the current census that is wrong for every user
+            state.table = {(tuple(state.census(3).tolist()), 0.6): np.full(4, 4)}
+        written = set(state.table)
+        want = _solved_one_by_one(state, norm, 100 + period)
+        run_adaptation(state, norm, np.random.default_rng(100 + period))
+        assert (state.thr == want).all()
+        assert set(state.table) == written or mode == "evolution"
+        run_period(state, norm, rng, period)
+    # an evolution state fills its table, one entry per census it adapted at
+    assert len(state.table) > 1 or mode != "evolution"
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.05])
@@ -264,21 +314,11 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
         mu = tuple(row)
         state = initial_state(norm, np.random.default_rng(0))
         state.rep = np.repeat(np.arange(4), mu)
-        run_adaptation(state, norm, mu, np.random.default_rng(1), table)
+        state.table = table
+        run_adaptation(state, norm, np.random.default_rng(1))
         occupied = np.flatnonzero(mu)
         assert (table[(mu, 0.6)][occupied] == policies[i, occupied]).all()
         assert (state.thr == policies[i, state.rep]).all()
-
-
-def SimState_copy(state):
-    from normsim import SimState
-
-    return SimState(
-        rep=state.rep.copy(),
-        thr=state.thr.copy(),
-        deltas=state.deltas.copy(),
-        bs=state.bs.copy(),
-    )
 
 
 def test_engine_belief_rows_match_updated_row():
@@ -404,9 +444,8 @@ def test_adaptive_belief_mode_keeps_rows_stochastic():
     norm = SocialNorm(params=spec.params, h=spec.h)
     rng = np.random.default_rng(spec.seed)
     state = initial_state(norm, rng, adaptive=True)
-    mu = _census(state)
     for period in range(1, 301):
-        run_adaptation(state, norm, mu, rng)
-        mu = run_period(state, norm, rng, period).census
+        run_adaptation(state, norm, rng)
+        run_period(state, norm, rng, period)
     assert np.abs(state.belief_rows.sum(axis=2) - 1.0).max() < 1e-9
     assert (state.belief_counts.sum(axis=1) == 300).all()
