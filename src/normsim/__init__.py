@@ -12,7 +12,6 @@ from .bestresponse import (
     ClosedFormSolution,
     best_response,
     closed_form_bimodal,
-    closed_form_policy,
     solve_policy_batch,
     subset_serve,
     verify_threshold_structure,
@@ -80,7 +79,6 @@ __all__ = [
     "build_transition_matrix",
     "classify_absorbing",
     "closed_form_bimodal",
-    "closed_form_policy",
     "enumerate_configs",
     "feasibility_test",
     "feasible_region_grid",

@@ -3,10 +3,11 @@
 A user adapting its strategy solves a small dynamic program: its state is
 its own reputation, the opponent census is held fixed, and each period its
 reputation either advances by one step (capped at L) or resets to 0 with the
-action-dependent punishment probability.  ``solve_policy_batch`` solves this
-program exactly by policy iteration, for many users at once and over the
-threshold actions or any set of service sets; ``best_response`` is its
-one-user call.  ``closed_form_bimodal`` provides the analytic solution for
+action-dependent punishment probability.  The social norm defines the
+program, its report error rate included, and no solver takes another.
+``solve_policy_batch`` solves it exactly by policy iteration, for many users
+at once and over the threshold actions or any set of service sets;
+``best_response`` is its one-user call.  ``closed_form_bimodal`` provides the analytic solution for
 censuses concentrated on reputations 0 and L, which serves as an independent
 oracle.
 """
@@ -46,16 +47,10 @@ class BestResponseSolution:
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """Analytic best response against a two-point (0/L) opponent census.
+    """Analytic best response against a two-point (0/L) opponent census."""
 
-    k            highest reputation at which the user defects (-1: none)
-    good_action  threshold played at reputations >= h (h or L+1)
-    values       long-term utility per reputation
-    """
-
-    k: int
-    good_action: int
-    values: np.ndarray
+    policy: np.ndarray  # threshold per reputation
+    values: np.ndarray  # long-term utility per reputation
 
 
 def subset_serve(L: int) -> np.ndarray:
@@ -64,11 +59,7 @@ def subset_serve(L: int) -> np.ndarray:
 
 
 def best_response(
-    norm: SocialNorm,
-    eta,
-    *,
-    serve: np.ndarray | None = None,
-    epsilon: float | None = None,
+    norm: SocialNorm, eta, *, serve: np.ndarray | None = None
 ) -> BestResponseSolution:
     """One user's best response against a fixed opponent census ``eta``
     (L+1 counts summing to N-1) under the baseline belief: a one-row call of
@@ -76,10 +67,9 @@ def best_response(
 
     serve    (A, L+1) service sets to choose from; default the norm's L+2
              threshold actions, so that a policy entry is a threshold
-    epsilon  replaces the norm's error rate
     """
     policies, values, _, q, rounds = solve_policy_batch(
-        norm, [eta], [norm.params.delta], serve=serve, epsilon=epsilon
+        norm, [eta], [norm.params.delta], serve=serve
     )
     return BestResponseSolution(
         policy=policies[0],
@@ -130,23 +120,15 @@ def closed_form_bimodal(
 
     values = np.zeros(L + 1)
     values[h:] = v_good
-    k = -1
+    policy = np.zeros(L + 1, dtype=np.int64)
+    policy[h:] = good_action
     for rep in range(h):
         climb = dlt ** (h - rep) * v_good - (1.0 - dlt ** (h - rep)) / (1.0 - dlt) * c
         if climb <= 0.0:
-            k = max(k, rep)
+            policy[: rep + 1] = L + 1
         else:
             values[rep] = climb
-    return ClosedFormSolution(k=k, good_action=good_action, values=values)
-
-
-def closed_form_policy(norm: SocialNorm, sol: ClosedFormSolution) -> np.ndarray:
-    """Expand a closed-form solution into a per-reputation threshold vector."""
-    p = norm.params
-    policy = np.zeros(p.L + 1, dtype=np.int64)
-    policy[: sol.k + 1] = p.L + 1
-    policy[norm.h :] = sol.good_action
-    return policy
+    return ClosedFormSolution(policy=policy, values=values)
 
 
 def verify_threshold_structure(norm: SocialNorm, eta) -> tuple[bool, dict | None]:
@@ -189,7 +171,6 @@ def solve_policy_batch(
     serve: np.ndarray | None = None,
     belief_rows: np.ndarray | None = None,
     bs: np.ndarray | None = None,
-    epsilon: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Exact best responses for a batch of users sharing one MDP shape.
 
@@ -229,7 +210,7 @@ def solve_policy_batch(
         order = np.argsort(-serve.sum(axis=1), kind="stable")
         serve = serve[order]
     benefit, cost, reset = model_arrays(
-        norm, etas, serve=serve, epsilon=epsilon, bs=bs, belief_rows=belief_rows
+        norm, etas, serve=serve, bs=bs, belief_rows=belief_rows
     )
     last = cost.shape[1] - 1
     reward = benefit[:, :, None] - cost[:, None, :]  # (K, own, a)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def enumerate_configs(N: int, L: int) -> ConfigSpace:
 
 
 def _batch_policies(
-    norm: SocialNorm, space: ConfigSpace, eps: float
+    norm: SocialNorm, space: ConfigSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-response thresholds and their reset probabilities for every
     (census, occupied reputation) pair.
@@ -151,8 +151,7 @@ def _batch_policies(
     cfg, rep = np.nonzero(counts)
     pair = np.arange(cfg.size)
     solved, _, played_resets, _, _ = solve_policy_batch(
-        norm, opponent_of(counts[cfg], rep), np.full(cfg.size, norm.params.delta),
-        epsilon=eps,
+        norm, opponent_of(counts[cfg], rep), np.full(cfg.size, norm.params.delta)
     )
     policies = np.tile(norm.compliant, (len(space), 1))
     policies[cfg, rep] = solved[pair, rep]
@@ -193,28 +192,29 @@ def build_transition_matrix(
 ) -> TransitionMatrix:
     """One-period census kernel under best-response play.
 
-    Given the census, each user independently resets to reputation 0 with its
-    action's punishment probability and otherwise climbs one step (capped at
-    the top).  All (census, reset-count vector k) pairs are enumerated at
-    once, one bucket at a time with the last bucket fastest; a pair's
-    probability is the product of its buckets' binomial pmf entries in
-    reputation order, each distinct pmf computed once.  k sends sum(k) users
-    to 0 and bucket r's other n_r - k_r one step up (L-1 and L merge at L);
-    each destination's column is its lexicographic rank, and one
-    ``np.bincount`` per chunk of about 2**15 pairs fills the rows.  Pairs of
-    probability 0 add nothing, so every entry is the sum the per-census
-    convolution gives, in the same order.
+    ``epsilon``, when given, is a ladder rung's error rate: the kernel is then
+    that of ``norm`` with its params' epsilon replaced, which
+    ``CommunityParams`` checks.  Given the census, each user independently
+    resets to reputation 0 with its action's punishment probability and
+    otherwise climbs one step (capped at the top).  All (census, reset-count
+    vector k) pairs are enumerated at once, one bucket at a time with the last
+    bucket fastest; a pair's probability is the product of its buckets'
+    binomial pmf entries in reputation order, each distinct pmf computed once.
+    k sends sum(k) users to 0 and bucket r's other n_r - k_r one step up (L-1
+    and L merge at L); each destination's column is its lexicographic rank,
+    and one ``np.bincount`` per chunk of about 2**15 pairs fills the rows.
+    Pairs of probability 0 add nothing, so every entry is the sum the
+    per-census convolution gives, in the same order.
     """
     p = norm.params
     if space.N != p.N or space.L != p.L:
         raise ValueError(
             f"space built for N={space.N}, L={space.L}; norm has N={p.N}, L={p.L}"
         )
-    eps = p.epsilon if epsilon is None else epsilon
-    if not 0 <= eps < 0.5:
-        raise ConfigError(f"error rate must lie in [0, 0.5), got {eps}")
+    if epsilon is not None:
+        norm = SocialNorm(params=replace(p, epsilon=epsilon), h=norm.h)
     L, m = p.L, len(space)
-    policies, resets = _batch_policies(norm, space, eps)
+    policies, resets = _batch_policies(norm, space)
     counts = space.counts
     nq, which = np.unique(
         np.stack([counts.ravel(), resets.ravel()], axis=1), axis=0, return_inverse=True
@@ -246,7 +246,7 @@ def build_transition_matrix(
         P[lo:hi] = np.bincount(
             (row - lo) * m + col, weights=prob, minlength=(hi - lo) * m
         ).reshape(hi - lo, m)
-    return TransitionMatrix(epsilon=eps, entries=P, policies=policies)
+    return TransitionMatrix(epsilon=norm.params.epsilon, entries=P, policies=policies)
 
 
 def stationary_distribution(P: TransitionMatrix) -> StationaryDist:

@@ -154,7 +154,7 @@ def _verify_closed_form(quick: bool) -> list[str]:
                                 continue  # nobody at reputation rep
                             cf = closed_form_bimodal(norm, N - nL, nL, rep)
                             br = best_response(
-                                norm, bimodal_opponent(norm, N - nL, nL, rep), epsilon=0.0
+                                norm, bimodal_opponent(norm, N - nL, nL, rep)
                             )
                             if np.abs(br.values - cf.values).max() > 1e-7:
                                 failures.append(

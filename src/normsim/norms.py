@@ -2,7 +2,10 @@
 
 A community protocol is a pair (social rule, reputation scheme) parameterized
 by a social threshold ``h`` that splits reputations into "bad" (below ``h``)
-and "good" (at or above ``h``).  ``SocialNorm`` owns the protocol's rule: it
+and "good" (at or above ``h``).  A ``SocialNorm`` is the one source of the
+model: its ``params`` (the report error rate epsilon among them) and ``h``
+define every user's control problem, so no solver takes an override and a
+cache of answers is keyed by the norm.  It also owns the protocol's rule: it
 builds read-only tables of the prescribed thresholds and contributions, the
 reputation after a matching report, and the threshold actions' service and
 mismatch, once, and every engine reads them from there.  A strategy is a
@@ -136,14 +139,6 @@ class SocialNorm:
     @property
     def L(self) -> int:
         return self.params.L
-
-    def compliant_threshold(self, rep: int) -> int:
-        """Service threshold the social rule prescribes for a user of ``rep``."""
-        if not 0 <= rep <= self.params.L:
-            raise ValueError(
-                f"reputation {rep} outside {{0, ..., {self.params.L}}}"
-            )
-        return int(self.compliant[rep])
 
 
 def params_from_dict(doc: dict) -> CommunityParams:

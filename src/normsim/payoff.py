@@ -1,7 +1,8 @@
 """Expected one-period utilities and reputation-transition probabilities.
 
 All quantities here are one user's expectations against a fixed census of
-opponents.  Under the baseline belief model, an opponent of positive
+opponents, under the norm's report error rate epsilon, which has no other
+source.  Under the baseline belief model, an opponent of positive
 reputation complies with the social rule with probability 1 - epsilon and
 serves no one otherwise, while an opponent of reputation 0 serves no one
 with probability 1 - epsilon and complies otherwise.
@@ -46,7 +47,6 @@ def model_arrays(
     etas,
     *,
     serve: np.ndarray | None = None,
-    epsilon: float | None = None,
     bs=None,
     belief_rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,7 +55,6 @@ def model_arrays(
     etas         (K, L+1) opponent censuses, nonnegative, each summing to N-1
     serve        (A, L+1) serve indicators of the candidate actions; default
                  the L+2 threshold actions 0..L+1
-    epsilon      report error rate; default the norm's
     bs           per-user benefit values, (K,) or a scalar; default the norm's b
     belief_rows  (K, L+1, L+2) belief matrices over opponents' thresholds;
                  default the baseline belief
@@ -67,7 +66,7 @@ def model_arrays(
     """
     p = norm.params
     L = p.L
-    eps = p.epsilon if epsilon is None else epsilon
+    eps = p.epsilon
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1] != L + 1:
         raise ValueError(

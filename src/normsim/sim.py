@@ -30,6 +30,8 @@ SCHEMA_VERSION = 1
 # varying-b draws stay above c by this margin, so every service stays
 # socially valuable
 BENEFIT_MARGIN = 1e-6
+# bridge_occupancy tallies only the periods after this one
+BRIDGE_BURN_IN = 1000
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
 _SPEC_KEYS = {
     "mode", "N", "L", "b", "c", "delta", "epsilon", "gamma", "h",
@@ -103,6 +105,7 @@ class ExperimentSpec:
         )
 
     def __post_init__(self):
+        SocialNorm(params=self.params, h=self.h)  # the norm checks h
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for mode, keys in _MODE_KEYS.items():
@@ -148,9 +151,10 @@ class ExperimentSpec:
 @dataclass
 class SimState:
     """Mutable community state of one run: one entry per user in each array,
-    and ``table``, which maps (census, delta) to the thresholds solved for
-    each occupied reputation under the baseline belief and the norm's
-    benefit (see ``run_adaptation``)."""
+    and ``table``, which maps (norm, census, delta) to the thresholds solved
+    for each occupied reputation under the baseline belief and the norm's
+    benefit (see ``run_adaptation``).  An entry is a pure function of its
+    key, so states may share one table whatever their norms."""
 
     rep: np.ndarray  # current reputations
     thr: np.ndarray  # current service thresholds
@@ -297,8 +301,9 @@ def run_adaptation(state: SimState, norm: SocialNorm, rng: np.random.Generator) 
     policy entry at its current reputation.
 
     While no user keeps a belief matrix and every benefit is the norm's, a
-    user's answer depends only on the census and its delta, so it is read
-    from ``state.table``, solved for every occupied reputation on a miss.
+    user's answer depends only on the norm, the census and its delta, so it
+    is read from ``state.table``, solved for every occupied reputation on a
+    miss.
     Otherwise each adapter is solved on its own row and the table is left
     alone.
     """
@@ -316,11 +321,12 @@ def run_adaptation(state: SimState, norm: SocialNorm, rng: np.random.Generator) 
     occupied = np.flatnonzero(mu)
     census = tuple(mu.tolist())
     for delta in np.unique(deltas):
-        thr = state.table.get((census, delta))
+        key = (norm, census, delta)
+        thr = state.table.get(key)
         if thr is None:
             thr = np.zeros_like(mu)
             thr[occupied] = _best_thresholds(norm, mu, occupied, delta)
-            state.table[(census, delta)] = thr
+            state.table[key] = thr
         sel = deltas == delta
         state.thr[adapt[sel]] = thr[reps[sel]]
 
@@ -444,28 +450,22 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
 
 
 def bridge_occupancy(
-    norm: SocialNorm,
-    space,
-    periods: int,
-    *,
-    seed: int = 0,
-    burn_in: int = 1000,
-    stride: int = 1,
+    norm: SocialNorm, space, periods: int, *, seed: int = 0, stride: int = 1
 ) -> np.ndarray:
     """Per-census occupation counts of a long Monte Carlo run.
 
     Runs the full engine (true permutation matching) and tallies how often
-    each census in ``space`` is visited after a burn-in, for comparison with
-    the exact kernel's stationary distribution.  ``stride`` thins the tally
-    to every stride-th period, which decorrelates consecutive samples.  The
-    loop counts census tuples; each distinct census is located in ``space``
-    once, after it.
+    each census in ``space`` is visited after ``BRIDGE_BURN_IN`` periods, for
+    comparison with the exact kernel's stationary distribution.  ``stride``
+    thins the tally to every stride-th period, which decorrelates
+    consecutive samples.  The loop counts census tuples; each distinct
+    census is located in ``space`` once, after it.
     """
     rng = np.random.default_rng(seed)
     state = initial_state(norm, rng, initial_reputation="uniform")
     visits = Counter(
         m.census for m in _trajectory(state, norm, rng, periods)
-        if m.period > burn_in and m.period % stride == 0
+        if m.period > BRIDGE_BURN_IN and m.period % stride == 0
     )
     counts = np.zeros(len(space), dtype=np.int64)
     for census, k in visits.items():

@@ -24,7 +24,7 @@ MAX_SWEEPS = 10**6
 
 
 def value_iteration(
-    norm, eta, *, serve=None, b=None, delta=None, epsilon=None, belief_rows=None
+    norm, eta, *, serve=None, b=None, delta=None, belief_rows=None
 ):
     """Best response against the opponent census ``eta`` by value iteration.
 
@@ -43,7 +43,6 @@ def value_iteration(
         norm,
         [eta],
         serve=serve,
-        epsilon=epsilon,
         bs=b,
         belief_rows=None if belief_rows is None else np.asarray(belief_rows)[None],
     )

@@ -22,7 +22,6 @@ from normsim import (
     bridge_occupancy,
     classify_absorbing,
     closed_form_bimodal,
-    closed_form_policy,
     enumerate_configs,
     feasibility_test,
     feasible_region_grid,
@@ -98,10 +97,10 @@ def test_01_closed_form_matches_value_iteration():
                                     continue
                                 cf = closed_form_bimodal(norm, N - nL, nL, rep)
                                 eta = bimodal_opponent(norm, N - nL, nL, rep)
-                                vi = best_response(norm, eta, epsilon=0.0)
+                                vi = best_response(norm, eta)
                                 assert np.abs(vi.values - cf.values).max() < 1e-7
                                 occupied = [r for r in (0, 3) if eta[r] > 0]
-                                pol = closed_form_policy(norm, cf)
+                                pol = cf.policy
                                 for own in range(4):
                                     # skip rows where distinct behaviors tie
                                     behaviors = _served_behaviors(
@@ -138,7 +137,7 @@ def test_02_threshold_policy_structure_fuzz():
             ok, counterexample = verify_threshold_structure(norm, eta)
             assert ok, counterexample
             sol = best_response(norm, eta)
-            floor = np.array([norm.compliant_threshold(r) for r in range(4)])
+            floor = norm.compliant
             assert (sol.policy >= floor).all()
             assert (np.diff(sol.policy[: norm.h]) <= 0).all()
             assert (np.diff(sol.policy[norm.h :]) <= 0).all()
@@ -327,9 +326,7 @@ def test_10_engine_occupancy_matches_exact_chain():
         space = enumerate_configs(6, 3)
         P = build_transition_matrix(norm, space)
         omega = stationary_distribution(P).weights
-        counts = bridge_occupancy(
-            norm, space, 1_000_000, seed=11, burn_in=1000, stride=100
-        )
+        counts = bridge_occupancy(norm, space, 1_000_000, seed=11, stride=100)
         total = counts.sum()
         expected = omega * total
         # pool states whose expected counts are too small for chi-square

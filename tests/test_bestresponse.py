@@ -10,7 +10,6 @@ from normsim import (
     SocialNorm,
     best_response,
     closed_form_bimodal,
-    closed_form_policy,
     model_arrays,
     solve_policy_batch,
     subset_serve,
@@ -25,7 +24,7 @@ def make_norm(N=11, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, h=1):
     return SocialNorm(params=params, h=h)
 
 
-def brute_force_values(norm, eta, epsilon=None):
+def brute_force_values(norm, eta):
     """Evaluate every stationary threshold policy exactly; return the best values.
 
     Independent oracle: enumerates all (L+2)^(L+1) policies and solves each
@@ -33,8 +32,7 @@ def brute_force_values(norm, eta, epsilon=None):
     """
     p = norm.params
     L = p.L
-    eps = p.epsilon if epsilon is None else epsilon
-    benefit, cost, reset = (a[0] for a in model_arrays(norm, [eta], epsilon=eps))
+    benefit, cost, reset = (a[0] for a in model_arrays(norm, [eta]))
     up = np.minimum(np.arange(L + 1) + 1, L)
     best = np.full(L + 1, -np.inf)
     for policy in product(range(L + 2), repeat=L + 1):
@@ -107,23 +105,22 @@ def test_closed_form_matches_iteration_on_two_point_censuses():
                                 continue
                             cf = closed_form_bimodal(norm, N - nL, nL, rep)
                             counts[rep] -= 1
-                            vi = best_response(norm, counts, epsilon=0.0)
+                            vi = best_response(norm, counts)
                             assert np.abs(vi.values - cf.values).max() < 1e-7
 
 
 def test_closed_form_defection_enforced_against_all_defectors():
     norm = make_norm(N=11, b=3.0, delta=0.5, h=1)
     cf = closed_form_bimodal(norm, 11, 0, 0)
-    assert cf.k >= 0
+    assert cf.policy[0] == 4
     assert np.allclose(cf.values, 0.0)
-    assert closed_form_policy(norm, cf)[0] == 4
 
 
 def test_closed_form_myopic_users_defect():
     # delta=0: never pay today's cost; value is just today's benefit
     norm = make_norm(N=11, b=3.0, delta=0.0, h=1)
     cf = closed_form_bimodal(norm, 11, 0, 0)
-    assert cf.good_action == 4
+    assert (cf.policy[norm.h:] == 4).all()
     assert np.allclose(cf.values, 0.0)
     vi = best_response(norm, (10, 0, 0, 0))
     assert (vi.policy == 4).all()
@@ -216,7 +213,7 @@ def test_structural_policy_properties():
         )
         eta = rng.multinomial(N - 1, np.ones(4) / 4)
         sol = best_response(norm, eta)
-        floor = np.array([norm.compliant_threshold(r) for r in range(4)])
+        floor = norm.compliant
         assert (sol.policy >= floor).all()
         assert (np.diff(sol.policy[:h]) <= 0).all()
         assert (np.diff(sol.policy[h:]) <= 0).all()
@@ -293,13 +290,13 @@ def test_batch_solver_matches_value_iteration_oracle(
         assert np.abs(one_q[0].max(axis=1) - value[0]).max() <= 1e-9
 
 
-def _model_arrays_reference(norm, etas, *, epsilon=None, bs=None, belief_rows=None):
+def _model_arrays_reference(norm, etas, *, bs=None, belief_rows=None):
     """Reference: ``payoff.model_arrays`` on threshold actions as it stood
     before its constant tensors were cached, with every tensor rebuilt per
     call."""
     p = norm.params
     L = p.L
-    eps = p.epsilon if epsilon is None else epsilon
+    eps = p.epsilon
     etas = np.asarray(etas, dtype=float)
     frac = etas / (p.N - 1)
     serve = (np.arange(L + 1)[None, :] >= np.arange(L + 2)[:, None]).astype(float)
@@ -323,7 +320,7 @@ def _model_arrays_reference(norm, etas, *, epsilon=None, bs=None, belief_rows=No
 
 
 def _solve_policy_batch_reference(
-    norm, etas, deltas, *, belief_rows=None, bs=None, epsilon=None, max_rounds=200
+    norm, etas, deltas, *, belief_rows=None, bs=None, max_rounds=200
 ):
     """Reference: the batched policy-iteration loop before its per-round
     gathers, transition build and convergence test were made lean.  Kept
@@ -333,7 +330,7 @@ def _solve_policy_batch_reference(
     K = etas.shape[0]
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (K,))
     benefit, cost, reset = _model_arrays_reference(
-        norm, etas, epsilon=epsilon, bs=bs, belief_rows=belief_rows
+        norm, etas, bs=bs, belief_rows=belief_rows
     )
     reward = benefit[:, :, None] - cost[:, None, :]
     up = np.minimum(np.arange(L + 1) + 1, L)

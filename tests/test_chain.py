@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,16 +98,18 @@ def test_transition_policies_at_extremes():
 
 def _kernel_by_convolution(norm, space, eps):
     """Reference: each row as a dict convolution of the per-bucket binomial
-    reset counts, one reputation at a time.  Each pair's reset is read from
-    the model at the played threshold, not from the solver."""
+    reset counts, one reputation at a time, under the rung's norm (``norm``
+    at error rate ``eps``).  Each pair's reset is read from the model at the
+    played threshold, not from the solver."""
+    norm = SocialNorm(params=replace(norm.params, epsilon=eps), h=norm.h)
     L = norm.params.L
-    policies, _ = _batch_policies(norm, space, eps)
+    policies, _ = _batch_policies(norm, space)
     counts = space.counts.astype(float)
     cfg, rep = np.nonzero(counts)
     pair = np.arange(cfg.size)
     etas = counts[cfg]
     etas[pair, rep] -= 1.0
-    _, _, reset = model_arrays(norm, etas, epsilon=eps)
+    _, _, reset = model_arrays(norm, etas)
     resets = np.zeros((len(space), L + 1))
     resets[cfg, rep] = reset[pair, rep, policies[cfg, rep]]
     # columns from a dict over the rows, independent of _census_rank
@@ -176,7 +179,7 @@ def test_census_rank_matches_enumeration():
 @pytest.mark.parametrize("eps", [-1e-3, 0.5, 0.7, math.nan])
 def test_kernel_rejects_error_rate_outside_range(eps):
     norm = make_norm(N=4)
-    with pytest.raises(ConfigError, match="error rate"):
+    with pytest.raises(ConfigError, match="epsilon"):
         build_transition_matrix(norm, enumerate_configs(4, 3), epsilon=eps)
 
 

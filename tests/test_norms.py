@@ -104,14 +104,6 @@ def test_strategy_serves_threshold_semantics():
         strategy_serves(0, L + 1, L)
 
 
-def test_compliant_threshold():
-    norm = make_norm(h=2)
-    assert [norm.compliant_threshold(r) for r in range(4)] == [0, 0, 2, 2]
-    for rep in (-1, 4):
-        with pytest.raises(ValueError, match="outside"):
-            norm.compliant_threshold(rep)
-
-
 def _plain_tables(L, h):
     """The rule written out entry by entry, independently of SocialNorm."""
     reps, actions = range(L + 1), range(L + 2)
@@ -135,7 +127,6 @@ def test_norm_tables_match_plain_definition():
                 assert not table.flags.writeable, (L, h, name)
                 with pytest.raises(ValueError):
                     table[(0,) * table.ndim] = 1
-            assert [norm.compliant_threshold(r) for r in range(L + 1)] == norm.compliant.tolist()
             for server in range(L + 1):
                 for client in range(L + 1):
                     z = social_rule(norm, server, client)

@@ -109,9 +109,14 @@ def test_replaced_spec_is_checked_like_a_parsed_one():
         (evolution, {"sample_stride": 0}),
         (evolution, {"seed": -1}),
         (evolution, {"initial_reputation": "ones"}),
+        (evolution, {"h": 0}),
+        (evolution, {"h": 4}),
     ]:
         with pytest.raises(ConfigError):
             replace(spec, **change)
+    # the norm's own check of h runs when the spec is built
+    with pytest.raises(ConfigError, match="h must be"):
+        ExperimentSpec.from_dict(base_doc(h=0))
     varying = replace(evolution, mode="varying-b", b_mean=3.0, b_var=0.5)
     with pytest.raises(ConfigError):
         replace(varying, b_var=-1.0)
@@ -227,6 +232,21 @@ def test_adaptation_defects_against_empty_community():
     assert (state.thr == 4).all()
 
 
+def test_table_keeps_each_norms_answers_apart():
+    # a state adapted under one error rate and then under another answers as
+    # a fresh state under the second does: the table's key holds the norm
+    low, high = make_norm(N=12, epsilon=0.05), make_norm(N=12, epsilon=0.3)
+    state = initial_state(low, np.random.default_rng(0))
+    fresh = initial_state(high, np.random.default_rng(0))
+    run_adaptation(state, low, np.random.default_rng(1))
+    assert (state.thr != 4).any()
+    run_adaptation(state, high, np.random.default_rng(1))
+    run_adaptation(fresh, high, np.random.default_rng(1))
+    assert (state.rep == fresh.rep).all()
+    assert state.thr.tolist() == fresh.thr.tolist() == [4] * 12
+    assert {key[0] for key in state.table} == {low, high}
+
+
 def _census_states(norm, deltas):
     """States at several censuses: all at the bottom, uniform, skewed up."""
     for seed in range(6):
@@ -261,7 +281,8 @@ def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
         run_adaptation(state, norm, np.random.default_rng(50 + seed))
         assert (state.thr == want).all()
         played.append(state.thr)
-    assert {delta for _, delta in table} == ({0.3, 0.6, 0.9} if mixed else {0.6})
+    assert {key_norm for key_norm, _, _ in table} == {norm}
+    assert {delta for _, _, delta in table} == ({0.3, 0.6, 0.9} if mixed else {0.6})
 
     # a warmed table answers from its entries alone, with the same thresholds
     def no_solve(*args, **kwargs):
@@ -290,7 +311,7 @@ def test_adaptation_uses_the_table_only_where_it_fits(mode):
             _redraw_benefits(state, spec, rng)
         if mode != "evolution":
             # an entry for the current census that is wrong for every user
-            state.table = {(tuple(state.census(3).tolist()), 0.6): np.full(4, 4)}
+            state.table = {(norm, tuple(state.census(3).tolist()), 0.6): np.full(4, 4)}
         written = set(state.table)
         want = _solved_one_by_one(state, norm, 100 + period)
         run_adaptation(state, norm, np.random.default_rng(100 + period))
@@ -317,7 +338,7 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
         state.table = table
         run_adaptation(state, norm, np.random.default_rng(1))
         occupied = np.flatnonzero(mu)
-        assert (table[(mu, 0.6)][occupied] == policies[i, occupied]).all()
+        assert (table[(norm, mu, 0.6)][occupied] == policies[i, occupied]).all()
         assert (state.thr == policies[i, state.rep]).all()
 
 
@@ -352,7 +373,7 @@ def test_engine_period_matches_scalar_rule(h):
     norm = make_norm(N=N, L=L, epsilon=0.3, h=h)
     rng = np.random.default_rng(20 + h)
     state = initial_state(norm, rng)
-    assert state.thr.tolist() == [norm.compliant_threshold(int(r)) for r in state.rep]
+    assert (state.thr == norm.compliant[state.rep]).all()
     state.thr = rng.integers(0, L + 2, size=N)
     rep_before = state.rep.copy()
     # replay the period's draws, server by server, with the scalar rule
