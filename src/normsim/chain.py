@@ -1,13 +1,14 @@
 """Exact Markov-chain analysis of the community reputation census.
 
 For small communities the census (how many users hold each reputation)
-evolves as a finite Markov chain: every period each user plays its best
-response against the current census and its reputation either advances or
-resets.  This module enumerates the census space as one integer array whose
-row for a census is its lexicographic rank, builds the transition matrix
-under best-response play, computes stationary and limiting distributions
-along a ladder of shrinking error rates, and classifies the absorbing
-censuses both analytically and numerically.
+evolves as a finite Markov chain when every user adapts every period
+(gamma = 1): each user plays its best response against the current census
+and its reputation either advances or resets.  This module enumerates the
+census space as one integer array whose row for a census is its
+lexicographic rank, builds the transition matrix under best-response play,
+computes stationary and limiting distributions along a ladder of shrinking
+error rates, and classifies the absorbing censuses both analytically and
+numerically.
 """
 
 from __future__ import annotations
@@ -54,23 +55,14 @@ class ConfigSpace:
 
     def index_of(self, counts) -> int:
         """Row of one census: L+1 nonnegative integers summing to N."""
-        c = np.asarray(counts, dtype=np.int64)
-        if c.shape != (self.L + 1,) or c.min() < 0 or c.sum() != self.N:
+        c = np.asarray(counts)
+        if (c.shape != (self.L + 1,) or (c != np.trunc(c)).any() or c.min() < 0
+                or c.sum() != self.N):
             raise ValueError(
                 f"not a census of N={self.N} users over reputations 0..{self.L}: "
                 f"{c.tolist()}"
             )
-        return int(_census_rank(self.rank_offsets, c[:, None])[0])
-
-    @property
-    def mu0(self) -> int:
-        """Index of the all-at-reputation-0 census, the last in the order."""
-        return len(self) - 1
-
-    @property
-    def muN(self) -> int:
-        """Index of the all-at-top-reputation census, the first in the order."""
-        return 0
+        return int(_census_rank(self.rank_offsets, c.astype(np.int64)[:, None])[0])
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,6 @@ class TransitionMatrix:
 
     epsilon: float
     entries: np.ndarray
-    policies: np.ndarray = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         P = np.asarray(self.entries, dtype=float)
@@ -134,32 +125,6 @@ def enumerate_configs(N: int, L: int) -> ConfigSpace:
     return ConfigSpace(N=N, L=L, counts=counts, rank_offsets=off)
 
 
-def _batch_policies(
-    norm: SocialNorm, space: ConfigSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-response thresholds and their reset probabilities for every
-    (census, occupied reputation) pair.
-
-    Each user is solved against its census with itself removed.  Returns two
-    arrays of shape (|space|, L+1): the threshold played and the probability
-    that playing it resets the user.  Unoccupied entries hold the socially
-    prescribed threshold and a reset probability of 0; they never matter for
-    transitions.  All pairs are solved in one batched policy-iteration call.
-    """
-    L = norm.params.L
-    counts = space.counts
-    cfg, rep = np.nonzero(counts)
-    pair = np.arange(cfg.size)
-    solved, _, played_resets, _, _ = solve_policy_batch(
-        norm, opponent_of(counts[cfg], rep), np.full(cfg.size, norm.params.delta)
-    )
-    policies = np.tile(norm.compliant, (len(space), 1))
-    policies[cfg, rep] = solved[pair, rep]
-    resets = np.zeros((len(space), L + 1))
-    resets[cfg, rep] = played_resets[pair, rep]
-    return policies, resets
-
-
 def _rank_offsets(N: int, L: int) -> np.ndarray:
     """Lexicographic-rank table of the census space.
 
@@ -194,9 +159,13 @@ def build_transition_matrix(
 
     ``epsilon``, when given, is a ladder rung's error rate: the kernel is then
     that of ``norm`` with its params' epsilon replaced, which
-    ``CommunityParams`` checks.  Given the census, each user independently
-    resets to reputation 0 with its action's punishment probability and
-    otherwise climbs one step (capped at the top).  All (census, reset-count
+    ``CommunityParams`` checks.  The census is a Markov chain only when every
+    user re-solves every period, so a norm with gamma != 1 raises
+    ``ConfigError``.  Each user plays its best response to the census with
+    itself removed, every (census, occupied reputation) pair solved in one
+    ``solve_policy_batch`` call; given the census, it independently resets to
+    reputation 0 with its played threshold's reset probability and otherwise
+    climbs one step (capped at the top).  All (census, reset-count
     vector k) pairs are enumerated at once, one bucket at a time with the last
     bucket fastest; a pair's probability is the product of its buckets'
     binomial pmf entries in reputation order, each distinct pmf computed once.
@@ -211,11 +180,22 @@ def build_transition_matrix(
         raise ValueError(
             f"space built for N={space.N}, L={space.L}; norm has N={p.N}, L={p.L}"
         )
+    if p.gamma != 1.0:
+        raise ConfigError(
+            f"the exact chain assumes every user adapts every period (gamma = 1), "
+            f"got gamma={p.gamma}"
+        )
     if epsilon is not None:
         norm = SocialNorm(params=replace(p, epsilon=epsilon), h=norm.h)
     L, m = p.L, len(space)
-    policies, resets = _batch_policies(norm, space)
     counts = space.counts
+    # each user's reset probability at its played threshold; unoccupied
+    # (census, reputation) entries stay 0 and never matter
+    cfg, rep = np.nonzero(counts)
+    resets = np.zeros((m, L + 1))
+    resets[cfg, rep] = solve_policy_batch(
+        norm, opponent_of(counts[cfg], rep), p.delta
+    )[2][np.arange(cfg.size), rep]
     nq, which = np.unique(
         np.stack([counts.ravel(), resets.ravel()], axis=1), axis=0, return_inverse=True
     )
@@ -246,7 +226,7 @@ def build_transition_matrix(
         P[lo:hi] = np.bincount(
             (row - lo) * m + col, weights=prob, minlength=(hi - lo) * m
         ).reshape(hi - lo, m)
-    return TransitionMatrix(epsilon=norm.params.epsilon, entries=P, policies=policies)
+    return TransitionMatrix(epsilon=norm.params.epsilon, entries=P)
 
 
 def stationary_distribution(P: TransitionMatrix) -> StationaryDist:

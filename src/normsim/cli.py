@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate      run a Monte Carlo experiment from a JSON spec
-  chain         exact census-chain analysis for small communities
+  chain         exact census-chain analysis for small communities (gamma = 1)
   design        feasibility analysis for the social threshold
   bestresponse  solve one user's adaptation problem against a census
   verify        run the cross-module consistency suites

@@ -7,7 +7,9 @@ its best response with the adaptation probability gamma against the posted
 census, which the engine reads from the users' reputations.  Supports
 heterogeneous discount groups, per-period random benefits, and adaptive
 belief matrices learned from own transactions.  One period loop plays every
-trajectory: ``run_evolution`` samples it and ``bridge_occupancy`` tallies it.
+trajectory: ``run_evolution`` samples it at the spec's own delta and seed
+(a delta sweep runs the spec with each grid delta in place of its own), and
+``bridge_occupancy`` tallies it.
 """
 
 from __future__ import annotations
@@ -355,19 +357,12 @@ def _trajectory(state, norm, rng, periods, spec=None):
         yield run_period(state, norm, rng, period)
 
 
-def run_evolution(
-    spec: ExperimentSpec,
-    *,
-    delta: float | None = None,
-    seed: int | None = None,
-) -> tuple[list[PeriodMetrics], dict]:
-    """Run one full trajectory and return sampled metrics plus a summary."""
-    params = spec.params
-    if delta is not None:
-        params = replace(params, delta=delta)
-    norm = SocialNorm(params=params, h=spec.h)
-    run_seed = spec.seed if seed is None else seed
-    rng = np.random.default_rng(run_seed)
+def run_evolution(spec: ExperimentSpec) -> tuple[list[PeriodMetrics], dict]:
+    """Run one full trajectory at the spec's own delta and seed and return
+    sampled metrics plus a summary.  Another delta or seed is another spec:
+    ``dataclasses.replace(spec, seed=s)``."""
+    norm = SocialNorm(params=spec.params, h=spec.h)
+    rng = np.random.default_rng(spec.seed)
     deltas = None
     if spec.groups is not None:
         deltas = np.concatenate([np.full(size, d) for size, d in spec.groups])
@@ -379,7 +374,7 @@ def run_evolution(
         m for m in _trajectory(state, norm, rng, spec.periods, spec)
         if m.period % spec.sample_stride == 0 or m.period == spec.periods
     ]
-    summary = _summarize(spec, norm, state, samples, run_seed)
+    summary = _summarize(spec, norm, state, samples)
     return samples, summary
 
 
@@ -391,7 +386,7 @@ def _first_settled(inside: np.ndarray) -> int | None:
     return first if first < inside.size else None
 
 
-def _summarize(spec, norm, state, samples, seed) -> dict:
+def _summarize(spec, norm, state, samples) -> dict:
     L = norm.params.L
     N = norm.params.N
     frac_L = np.array([m.census[L] / N for m in samples])
@@ -403,7 +398,7 @@ def _summarize(spec, norm, state, samples, seed) -> dict:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "mode": spec.mode,
-        "seed": seed,
+        "seed": spec.seed,
         "periods": spec.periods,
         "terminal_configuration": list(samples[-1].census),
         "terminal_fraction_top": float(frac_L[-1]),
@@ -429,7 +424,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
     """
     runs = []
     for d in spec.delta_grid or (None,):
-        samples, summary = run_evolution(spec, delta=d)
+        point = spec if d is None else replace(
+            spec, params=replace(spec.params, delta=d)
+        )
+        samples, summary = run_evolution(point)
         if d is not None:
             summary["delta"] = d
         name = "timeseries.csv" if d is None else f"timeseries_delta_{d:g}.csv"
@@ -459,8 +457,15 @@ def bridge_occupancy(
     comparison with the exact kernel's stationary distribution.  ``stride``
     thins the tally to every stride-th period, which decorrelates
     consecutive samples.  The loop counts census tuples; each distinct
-    census is located in ``space`` once, after it.
+    census is located in ``space`` once, after it.  Raises ValueError unless
+    ``periods`` exceeds the burn-in and ``stride`` is positive.
     """
+    if periods <= BRIDGE_BURN_IN:
+        raise ValueError(
+            f"periods must exceed the burn-in of {BRIDGE_BURN_IN}, got {periods}"
+        )
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
     rng = np.random.default_rng(seed)
     state = initial_state(norm, rng, initial_reputation="uniform")
     visits = Counter(

@@ -7,6 +7,7 @@ tolerances are stated inline next to each assertion.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_04_design_verdict_matches_chain_support():
                         classify_absorbing(norm, space)  # must self-validate
                         res = limiting_distribution(norm, space)
                         verdict = feasibility_test(norm.params, h)
-                        unique_top = res.support == (space.muN,)
+                        unique_top = res.support == (space.index_of([0, 0, 0, N]),)
                         assert verdict == unique_top, (
                             N, delta, b, h, verdict,
                             [tuple(space.counts[i].tolist()) for i in res.support],
@@ -187,7 +188,7 @@ def test_05_large_community_reaches_cooperation():
         spec = ExperimentSpec.from_dict(evolution_doc())
         finals = []
         for seed in range(5):
-            _, summary = run_evolution(spec, seed=seed)
+            _, summary = run_evolution(replace(spec, seed=seed))
             finals.append(np.array(summary["terminal_configuration"]) / 500)
         mean = np.mean(finals, axis=0)
         # Interior reputations empty out only as eps -> 0 (criterion 03).  At
@@ -216,7 +217,7 @@ def test_06_high_error_prevents_convergence():
         spec = ExperimentSpec.from_dict(evolution_doc(epsilon=0.2))
         shares = []
         for seed in range(5):
-            samples, _ = run_evolution(spec, seed=seed)
+            samples, _ = run_evolution(replace(spec, seed=seed))
             tail = samples[len(samples) // 2 :]
             shares.extend(m.census[3] / 500 for m in tail)
         bins = np.round(np.array(shares) / 0.05).astype(int)
@@ -236,7 +237,9 @@ def test_07_cooperation_monotone_in_patience_and_benefit():
             means, ses = [], []
             for d in deltas:
                 vals = [
-                    run_evolution(spec, delta=d, seed=s)[1][
+                    run_evolution(replace(
+                        spec, params=replace(spec.params, delta=d), seed=s
+                    ))[1][
                         "terminal_mean_fraction_top"
                     ]
                     for s in seeds
@@ -275,9 +278,9 @@ def test_08_mixed_patience_defection_orderings():
         lo = hi = mix = mix_lo = mix_hi = 0.0
         seeds = range(5)
         for seed in seeds:
-            lo += run_evolution(pure_lo, seed=seed)[1]["defection_fraction"]
-            hi += run_evolution(pure_hi, seed=seed)[1]["defection_fraction"]
-            summary = run_evolution(mixed, seed=seed)[1]
+            lo += run_evolution(replace(pure_lo, seed=seed))[1]["defection_fraction"]
+            hi += run_evolution(replace(pure_hi, seed=seed))[1]["defection_fraction"]
+            summary = run_evolution(replace(mixed, seed=seed))[1]
             mix += summary["defection_fraction"]
             g_lo, g_hi = summary["group_defection_fractions"]
             mix_lo += g_lo
@@ -358,8 +361,8 @@ def test_11_adaptive_beliefs_slow_convergence():
         fixed = ExperimentSpec.from_dict(evolution_doc())
         adaptive = ExperimentSpec.from_dict(evolution_doc(mode="adaptive-belief"))
         for seed in (0, 1):
-            _, sum_fixed = run_evolution(fixed, seed=seed)
-            _, sum_adapt = run_evolution(adaptive, seed=seed)
+            _, sum_fixed = run_evolution(replace(fixed, seed=seed))
+            _, sum_adapt = run_evolution(replace(adaptive, seed=seed))
             frac = sum_adapt["terminal_mean_fraction_top"]
             assert 0.75 <= frac <= 0.98, frac
             assert sum_fixed["convergence_period"] is not None

@@ -26,7 +26,8 @@ from normsim import (
     stationary_distribution,
     stationary_linear,
 )
-from normsim.chain import _batch_policies, _census_rank, _closed_classes, _rank_offsets
+from normsim.bestresponse import best_response, solve_policy_batch
+from normsim.chain import _census_rank, _closed_classes, _rank_offsets
 from normsim.norms import ConfigError
 from oracles import sample_trajectory
 
@@ -44,8 +45,8 @@ def test_enumeration_size_and_order():
     counts = [tuple(c) for c in space.counts.tolist()]
     assert counts == sorted(counts)  # lexicographic
     assert all(sum(c) == 5 for c in counts)
-    assert counts[space.mu0] == (5, 0, 0, 0)
-    assert counts[space.muN] == (0, 0, 0, 5)
+    assert space.index_of((5, 0, 0, 0)) == len(space) - 1  # all at 0 comes last
+    assert space.index_of((0, 0, 0, 5)) == 0  # all at the top comes first
     assert space.index_of((1, 1, 1, 2)) == counts.index((1, 1, 1, 2))
 
 
@@ -58,15 +59,18 @@ def test_enumeration_matches_product_reference():
             assert space.counts.dtype == np.int64 and not space.counts.flags.writeable
             assert [tuple(c) for c in space.counts.tolist()] == want, (N, L)
             assert [space.index_of(c) for c in space.counts] == list(range(len(space)))
-            assert space.counts[space.mu0].tolist() == [N] + [0] * L
-            assert space.counts[space.muN].tolist() == [0] * L + [N]
+            assert space.index_of([N] + [0] * L) == len(space) - 1
+            assert space.index_of([0] * L + [N]) == 0
             assert space == enumerate_configs(N, L)
             assert hash(space) == hash(enumerate_configs(N, L))
 
 
 @pytest.mark.parametrize(
-    "census", [(1, 1, 1), (1, 1, 1, 1, 1), (6, -1, 0, 0), (1, 1, 1, 1), (5, 0, 0, 1)],
-    ids=["short", "long", "negative", "sum-low", "sum-high"],
+    "census",
+    [(1, 1, 1), (1, 1, 1, 1, 1), (6, -1, 0, 0), (1, 1, 1, 1), (5, 0, 0, 1),
+     (0.5, 5, 0, 0), (0, 5.7, 0, 0), (math.nan, 5, 0, 0)],
+    ids=["short", "long", "negative", "sum-low", "sum-high",
+         "fraction", "fraction-truncating-to-a-census", "nan"],
 )
 def test_index_of_rejects_non_census(census):
     with pytest.raises(ValueError, match="not a census"):
@@ -87,31 +91,30 @@ def test_enumeration_cap(monkeypatch):
 
 def test_transition_policies_at_extremes():
     norm = make_norm(N=6)
-    space = enumerate_configs(6, 3)
-    policies = build_transition_matrix(norm, space).policies
     # nobody worth serving: every occupied reputation defects outright
-    assert policies[space.mu0][0] == 4
+    assert best_response(norm, (5, 0, 0, 0)).policy[0] == 4
     # full cooperation is self-enforcing under feasible parameters: the
     # best response at the top serves top-reputation clients
-    assert policies[space.muN][3] <= 3
+    assert best_response(norm, (0, 0, 0, 5)).policy[3] <= 3
 
 
 def _kernel_by_convolution(norm, space, eps):
     """Reference: each row as a dict convolution of the per-bucket binomial
     reset counts, one reputation at a time, under the rung's norm (``norm``
-    at error rate ``eps``).  Each pair's reset is read from the model at the
-    played threshold, not from the solver."""
+    at error rate ``eps``).  Every pair's threshold is solved here in one
+    batch, and its reset is read from the model at that threshold, not from
+    the solver."""
     norm = SocialNorm(params=replace(norm.params, epsilon=eps), h=norm.h)
     L = norm.params.L
-    policies, _ = _batch_policies(norm, space)
     counts = space.counts.astype(float)
     cfg, rep = np.nonzero(counts)
     pair = np.arange(cfg.size)
     etas = counts[cfg]
     etas[pair, rep] -= 1.0
+    policies = solve_policy_batch(norm, etas, norm.params.delta)[0]
     _, _, reset = model_arrays(norm, etas)
     resets = np.zeros((len(space), L + 1))
-    resets[cfg, rep] = reset[pair, rep, policies[cfg, rep]]
+    resets[cfg, rep] = reset[pair, rep, policies[pair, rep]]
     # columns from a dict over the rows, independent of _census_rank
     index = {tuple(c): i for i, c in enumerate(space.counts.tolist())}
     P = np.zeros((len(space), len(space)))
@@ -183,6 +186,20 @@ def test_kernel_rejects_error_rate_outside_range(eps):
         build_transition_matrix(norm, enumerate_configs(4, 3), epsilon=eps)
 
 
+def test_chain_refuses_adaptation_with_inertia():
+    # at gamma < 1 a user keeps its last threshold between adaptations, so
+    # the census alone is not a Markov chain
+    params = CommunityParams(N=4, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.01, gamma=0.1)
+    norm = SocialNorm(params=params, h=1)
+    space = enumerate_configs(4, 3)
+    with pytest.raises(ConfigError, match="gamma"):
+        build_transition_matrix(norm, space)
+    with pytest.raises(ConfigError, match="gamma"):
+        limiting_distribution(norm, space)
+    with pytest.raises(ConfigError, match="gamma"):
+        classify_absorbing(norm, space)
+
+
 def test_transition_matrix_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="rows must sum to 1"):
         TransitionMatrix(epsilon=0.1, entries=np.full((2, 2), np.nan))
@@ -205,8 +222,9 @@ def test_zero_error_kernel_fixes_extreme_censuses():
     norm = make_norm(N=5)
     space = enumerate_configs(5, 3)
     P0 = build_transition_matrix(norm, space, epsilon=0.0)
-    assert P0.entries[space.mu0, space.mu0] == pytest.approx(1.0)
-    assert P0.entries[space.muN, space.muN] == pytest.approx(1.0)
+    mu0, muN = space.index_of((5, 0, 0, 0)), space.index_of((0, 0, 0, 5))
+    assert P0.entries[mu0, mu0] == pytest.approx(1.0)
+    assert P0.entries[muN, muN] == pytest.approx(1.0)
 
 
 def test_space_norm_mismatch_rejected():
@@ -363,7 +381,7 @@ def test_trajectory_occupancy_tracks_stationary():
     space = enumerate_configs(3, 2)
     P = build_transition_matrix(norm, space)
     w = stationary_distribution(P)
-    counts = sample_trajectory(P, 40_000, seed=3, start=space.mu0)
+    counts = sample_trajectory(P, 40_000, seed=3, start=space.index_of((3, 0, 0)))
     emp = counts / counts.sum()
     assert 0.5 * np.abs(emp - w.weights).sum() < 0.02
 
@@ -372,8 +390,9 @@ def test_limiting_support_feasible_parameters():
     norm = make_norm(N=6, delta=0.6, b=3.0, c=1.0, h=1)
     space = enumerate_configs(6, 3)
     res = limiting_distribution(norm, space, eps_ladder=(1e-2, 1e-3, 1e-4))
-    assert res.support == (space.muN,)
-    assert res.table[res.eps_ladder[-1]].weights[space.muN] > 0.99
+    muN = space.index_of((0, 0, 0, 6))
+    assert res.support == (muN,)
+    assert res.table[res.eps_ladder[-1]].weights[muN] > 0.99
 
 
 def test_limiting_support_infeasible_parameters():
@@ -381,8 +400,8 @@ def test_limiting_support_infeasible_parameters():
     norm = make_norm(N=6, delta=0.3, b=3.0, c=1.0, h=1)
     space = enumerate_configs(6, 3)
     res = limiting_distribution(norm, space, eps_ladder=(1e-2, 1e-3, 1e-4))
-    assert space.muN not in res.support
-    assert space.mu0 in res.support
+    assert space.index_of((0, 0, 0, 6)) not in res.support
+    assert space.index_of((6, 0, 0, 0)) in res.support
 
 
 def test_limiting_rejects_bad_ladder():
@@ -542,8 +561,8 @@ def test_absorbing_excludes_full_cooperation_when_impatient():
     space = enumerate_configs(7, 3)
     cls = classify_absorbing(norm, space)
     idx = set(cls.absorbing_indices)
-    assert space.mu0 in idx
-    assert space.muN not in idx
+    assert space.index_of((7, 0, 0, 0)) in idx
+    assert space.index_of((0, 0, 0, 7)) not in idx
 
 
 def test_absorbing_always_includes_full_defection():
@@ -552,4 +571,4 @@ def test_absorbing_always_includes_full_defection():
             norm = make_norm(N=5, delta=delta, h=h)
             space = enumerate_configs(5, 3)
             cls = classify_absorbing(norm, space)
-            assert space.mu0 in cls.absorbing_indices
+            assert space.index_of((5, 0, 0, 0)) in cls.absorbing_indices

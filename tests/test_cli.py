@@ -133,6 +133,14 @@ def test_chain_rejects_malformed_numbers(norm_file, tmp_path, overrides):
     assert main(["chain", "--config", str(bad)]) == 2
 
 
+def test_chain_refuses_gamma_below_one(norm_file, tmp_path, capsys):
+    doc = dict(json.loads(norm_file.read_text()), gamma=0.1)
+    config = tmp_path / "inertia.json"
+    config.write_text(json.dumps(doc))
+    assert main(["chain", "--config", str(config)]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [

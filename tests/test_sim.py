@@ -18,7 +18,9 @@ from normsim import (
     updated_row,
 )
 from normsim import sim
-from normsim.chain import build_transition_matrix, enumerate_configs
+from normsim.bestresponse import solve_policy_batch
+from normsim.chain import enumerate_configs
+from normsim.payoff import opponent_of
 from normsim.sim import (
     _best_thresholds, _derangement, _first_settled, _redraw_benefits, run_adaptation,
 )
@@ -329,7 +331,11 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
     # census's thresholds do not depend on what else is in the batch
     norm = make_norm(N=8, epsilon=epsilon)
     space = enumerate_configs(8, 3)
-    policies = build_transition_matrix(norm, space).policies
+    cfg, rep = np.nonzero(space.counts)
+    policies = np.zeros_like(space.counts)
+    policies[cfg, rep] = solve_policy_batch(
+        norm, opponent_of(space.counts[cfg], rep), norm.params.delta
+    )[0][np.arange(cfg.size), rep]
     table = {}
     for i, row in enumerate(space.counts.tolist()):
         mu = tuple(row)
@@ -340,6 +346,19 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
         occupied = np.flatnonzero(mu)
         assert (table[(norm, mu, 0.6)][occupied] == policies[i, occupied]).all()
         assert (state.thr == policies[i, state.rep]).all()
+
+
+@pytest.mark.parametrize(
+    "periods, stride",
+    [(500, 1), (sim.BRIDGE_BURN_IN, 1), (2000, 0), (2000, -1)],
+    ids=["periods-below-burn-in", "periods-at-burn-in", "stride-zero", "stride-negative"],
+)
+def test_bridge_occupancy_rejects_bad_arguments(periods, stride, monkeypatch):
+    # arguments are checked before any period is played
+    monkeypatch.setattr(sim, "_trajectory", None)
+    norm = make_norm(N=4, epsilon=0.05)
+    with pytest.raises(ValueError, match="burn-in|stride"):
+        sim.bridge_occupancy(norm, enumerate_configs(4, 3), periods, stride=stride)
 
 
 def test_engine_belief_rows_match_updated_row():
