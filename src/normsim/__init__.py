@@ -14,7 +14,6 @@ from .bestresponse import (
     closed_form_bimodal,
     solve_policy_batch,
     subset_serve,
-    verify_threshold_structure,
 )
 from .chain import (
     AbsorbingClassification,
@@ -97,6 +96,5 @@ __all__ = [
     "stationary_linear",
     "subset_serve",
     "updated_row",
-    "verify_threshold_structure",
     "write_region_csv",
 ]

@@ -6,10 +6,10 @@ reputation either advances by one step (capped at L) or resets to 0 with the
 action-dependent punishment probability.  The social norm defines the
 program, its report error rate included, and no solver takes another.
 ``solve_policy_batch`` solves it exactly by policy iteration, for many users
-at once and over the threshold actions or any set of service sets;
-``best_response`` is its one-user call.  ``closed_form_bimodal`` provides the analytic solution for
-censuses concentrated on reputations 0 and L, which serves as an independent
-oracle.
+at once and over the threshold actions or any set of service sets, and stops
+on one rule: the greedy policies equal the evaluated ones.  ``best_response``
+is its one-user call; ``closed_form_bimodal``, the analytic solution for
+censuses concentrated on reputations 0 and L, is an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .payoff import model_arrays, opponent_of
 # greedy policy; knife-edge indifference then resolves deterministically
 # instead of following floating-point noise.
 POLICY_TIE_ATOL = 1e-9
-# verify_threshold_structure's value-gap bound and tie band
-STRUCTURE_TOL = 1e-8
 # solve_policy_batch raises once its policies have not settled in this many
 # rounds
 MAX_ROUNDS = 200
@@ -42,7 +40,6 @@ class BestResponseSolution:
     iterations: int  # policy-iteration rounds
     residual: float  # Bellman residual of values: max |max_a q - values|
     q: np.ndarray  # action values [rep, action] against values
-    serve: np.ndarray  # serve indicator vector of each action
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,6 @@ def best_response(
         iterations=rounds,
         residual=float(np.abs(q[0].max(axis=1) - values[0]).max()),
         q=q[0],
-        serve=norm.serve if serve is None else np.asarray(serve, dtype=float),
     )
 
 
@@ -131,38 +127,6 @@ def closed_form_bimodal(
     return ClosedFormSolution(policy=policy, values=values)
 
 
-def verify_threshold_structure(norm: SocialNorm, eta) -> tuple[bool, dict | None]:
-    """Check that unrestricted service sets buy nothing over thresholds.
-
-    Solves the adaptation problem over all 2^(L+1) service subsets and over
-    threshold actions, then verifies that (a) the optimal values agree within
-    ``STRUCTURE_TOL`` and (b) at every reputation some optimal subset is
-    upward-closed in client reputation.  Returns (ok, counterexample).
-    """
-    sub = best_response(norm, eta, serve=subset_serve(norm.params.L))
-    thr = best_response(norm, eta)
-    gap = np.abs(sub.values - thr.values)
-    if gap.max() >= STRUCTURE_TOL:
-        rep = int(gap.argmax())
-        return False, {
-            "reason": "value gap between subset and threshold actions",
-            "reputation": rep,
-            "subset_value": float(sub.values[rep]),
-            "threshold_value": float(thr.values[rep]),
-        }
-    q = sub.q
-    serve = sub.serve
-    for rep in range(norm.params.L + 1):
-        tied = np.flatnonzero(q[rep] >= q[rep].max() - STRUCTURE_TOL)
-        if not any(np.all(np.diff(serve[a]) >= 0) for a in tied):
-            return False, {
-                "reason": "no optimal action is upward-closed",
-                "reputation": rep,
-                "optimal_sets": [tuple(serve[a].astype(int).tolist()) for a in tied],
-            }
-    return True, None
-
-
 def solve_policy_batch(
     norm: SocialNorm,
     etas: np.ndarray,
@@ -189,11 +153,16 @@ def solve_policy_batch(
     reputation r resets user k, read from the same model the solver used.
     ``q`` (K, L+1, A) holds the action values against the final values, and
     ``rounds`` counts the policy-iteration rounds.  Each round evaluates the
-    policies exactly and improves them greedily.  Q-values within
+    policies exactly and improves them greedily: Q-values within
     ``POLICY_TIE_ATOL`` of the best tie, and ties go to the action serving
     fewest clients (the larger threshold; among service sets of one size,
-    the later row of ``serve``).  Raises RuntimeError if the policies have
-    not settled within ``MAX_ROUNDS`` rounds.
+    the later row of ``serve``).  The one stopping rule is that the greedy
+    policies equal the evaluated ones, and ties cannot make it cycle: an
+    improvement never lowers the values, and a policy reached through exact
+    ties has its predecessor's values, so the greedy step, a function of the
+    values, maps it to itself next round.  Only a real Q-value gap inside the
+    tie band could break this; the solver then raises RuntimeError ("did not
+    settle") after ``MAX_ROUNDS`` rounds rather than return a cycling policy.
     """
     L = norm.params.L
     S = L + 1
@@ -220,7 +189,6 @@ def solve_policy_batch(
     kk = np.arange(K)[:, None]  # played entries of (K, own, a): arr[kk, rr, policies]
 
     policies = np.full((K, S), last, dtype=np.int64)
-    prev_values = None
     for rounds in range(1, MAX_ROUNDS + 1):
         # exact evaluation of the current policies: from r the user resets to
         # 0 or climbs to up[r] >= 1, so each row of T has two distinct entries
@@ -237,12 +205,6 @@ def solve_policy_batch(
         new_policies = last - tied[:, :, ::-1].argmax(axis=2)
         if (new_policies == policies).all():
             break
-        # guard against two-cycles between exactly tied policies
-        if prev_values is not None and np.abs(values - prev_values).max() < 1e-13:
-            policies = new_policies
-            p0 = reset[kk, rr, policies]
-            break
-        prev_values = values
         policies = new_policies
     else:
         raise RuntimeError(

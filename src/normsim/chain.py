@@ -64,6 +64,12 @@ class ConfigSpace:
             )
         return int(_census_rank(self.rank_offsets, c.astype(np.int64)[:, None])[0])
 
+    def check_fits(self, p) -> None:
+        """Raise ValueError unless the space has the N and L of params ``p``."""
+        if (self.N, self.L) != (p.N, p.L):
+            raise ValueError(
+                f"space built for N={self.N}, L={self.L}; norm has N={p.N}, L={p.L}")
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -176,10 +182,7 @@ def build_transition_matrix(
     per-census convolution gives, in the same order.
     """
     p = norm.params
-    if space.N != p.N or space.L != p.L:
-        raise ValueError(
-            f"space built for N={space.N}, L={space.L}; norm has N={p.N}, L={p.L}"
-        )
+    space.check_fits(p)
     if p.gamma != 1.0:
         raise ConfigError(
             f"the exact chain assumes every user adapts every period (gamma = 1), "

@@ -136,6 +136,9 @@ class ExperimentSpec:
         bad = [d for d in deltas if not 0.0 <= d < 1.0]
         if bad:
             raise ConfigError(f"group or grid deltas {bad} outside [0, 1)")
+        names = [_timeseries_name(d) for d in self.delta_grid or ()]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"grid deltas repeat a time-series file name: {names}")
         if self.b_var is not None and self.b_var < 0:
             raise ConfigError("b_var must be nonnegative")
         # above the floor, each truncated draw is accepted with probability
@@ -430,8 +433,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
         samples, summary = run_evolution(point)
         if d is not None:
             summary["delta"] = d
-        name = "timeseries.csv" if d is None else f"timeseries_delta_{d:g}.csv"
-        runs.append((name, samples, summary))
+        runs.append((_timeseries_name(d), samples, summary))
     top = runs[0][2] if spec.delta_grid is None else {
         "schema_version": SCHEMA_VERSION,
         "mode": spec.mode,
@@ -455,10 +457,10 @@ def bridge_occupancy(
     Runs the full engine (true permutation matching) and tallies how often
     each census in ``space`` is visited after ``BRIDGE_BURN_IN`` periods, for
     comparison with the exact kernel's stationary distribution.  ``stride``
-    thins the tally to every stride-th period, which decorrelates
-    consecutive samples.  The loop counts census tuples; each distinct
-    census is located in ``space`` once, after it.  Raises ValueError unless
-    ``periods`` exceeds the burn-in and ``stride`` is positive.
+    thins the tally to every stride-th period, which decorrelates consecutive
+    samples.  The loop counts census tuples; each distinct census is located
+    in ``space`` once, after it.  Raises ValueError unless ``space`` fits the
+    norm, ``periods`` exceeds the burn-in and ``stride`` is positive.
     """
     if periods <= BRIDGE_BURN_IN:
         raise ValueError(
@@ -466,6 +468,7 @@ def bridge_occupancy(
         )
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
+    space.check_fits(norm.params)
     rng = np.random.default_rng(seed)
     state = initial_state(norm, rng, initial_reputation="uniform")
     visits = Counter(
@@ -476,6 +479,11 @@ def bridge_occupancy(
     for census, k in visits.items():
         counts[space.index_of(census)] = k
     return counts
+
+
+def _timeseries_name(delta: float | None) -> str:
+    """Time-series file of a run, or of the delta-sweep point at ``delta``."""
+    return "timeseries.csv" if delta is None else f"timeseries_delta_{delta:g}.csv"
 
 
 def _write_timeseries(path: Path, samples: list[PeriodMetrics]) -> None:

@@ -6,21 +6,25 @@ iteration, independently of the policy iteration in
 (``payoff.model_arrays``) and the tie rule.  ``strategy_serves``,
 ``social_rule`` and ``reputation_update`` write the protocol out one entry
 at a time, against ``SocialNorm``'s tables and the engine's reputation
-step.  ``sample_trajectory`` walks a chain kernel state by state, against
-its stationary distribution.
+step.  ``verify_threshold_structure`` solves over every service set as well
+as over thresholds, against the threshold action space the program uses.
+``sample_trajectory`` walks a chain kernel state by state, against its
+stationary distribution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from normsim.bestresponse import POLICY_TIE_ATOL
+from normsim.bestresponse import POLICY_TIE_ATOL, best_response, subset_serve
 from normsim.chain import TransitionMatrix
 from normsim.norms import SocialNorm
 from normsim.payoff import model_arrays
 
 TOLERANCE = 1e-10
 MAX_SWEEPS = 10**6
+# verify_threshold_structure's value-gap bound and tie band
+STRUCTURE_TOL = 1e-8
 
 
 def value_iteration(
@@ -67,6 +71,38 @@ def value_iteration(
     tied = qp >= qp.max(axis=1, keepdims=True) - POLICY_TIE_ATOL
     policy = prefer[qp.shape[1] - 1 - np.argmax(tied[:, ::-1], axis=1)]
     return policy, values, q, sweeps, residual
+
+
+def verify_threshold_structure(norm: SocialNorm, eta) -> tuple[bool, dict | None]:
+    """Check that unrestricted service sets buy nothing over thresholds.
+
+    Solves the adaptation problem over all 2^(L+1) service subsets and over
+    threshold actions, then verifies that (a) the optimal values agree within
+    ``STRUCTURE_TOL`` and (b) at every reputation some optimal subset is
+    upward-closed in client reputation.  Returns (ok, counterexample).
+    """
+    serve = subset_serve(norm.params.L)
+    sub = best_response(norm, eta, serve=serve)
+    thr = best_response(norm, eta)
+    gap = np.abs(sub.values - thr.values)
+    if gap.max() >= STRUCTURE_TOL:
+        rep = int(gap.argmax())
+        return False, {
+            "reason": "value gap between subset and threshold actions",
+            "reputation": rep,
+            "subset_value": float(sub.values[rep]),
+            "threshold_value": float(thr.values[rep]),
+        }
+    q = sub.q
+    for rep in range(norm.params.L + 1):
+        tied = np.flatnonzero(q[rep] >= q[rep].max() - STRUCTURE_TOL)
+        if not any(np.all(np.diff(serve[a]) >= 0) for a in tied):
+            return False, {
+                "reason": "no optimal action is upward-closed",
+                "reputation": rep,
+                "optimal_sets": [tuple(serve[a].astype(int).tolist()) for a in tied],
+            }
+    return True, None
 
 
 def strategy_serves(threshold: int, client_rep: int, L: int) -> int:

@@ -30,10 +30,10 @@ from normsim import (
     run_evolution,
     stationary_distribution,
     updated_row,
-    verify_threshold_structure,
 )
 from normsim.bestresponse import bimodal_opponent
 from normsim.design import _gap
+from oracles import verify_threshold_structure
 
 
 @contextmanager

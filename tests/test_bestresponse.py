@@ -13,10 +13,9 @@ from normsim import (
     model_arrays,
     solve_policy_batch,
     subset_serve,
-    verify_threshold_structure,
 )
 from normsim import bestresponse
-from oracles import value_iteration
+from oracles import value_iteration, verify_threshold_structure
 
 
 def make_norm(N=11, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.0, h=1):
@@ -221,20 +220,20 @@ def test_structural_policy_properties():
 
 
 def test_action_spaces_share_one_serve_dtype():
+    # the threshold actions are service sets of the subset action space
     norm = make_norm()
-    thr = best_response(norm, (1, 2, 3, 4))
-    sub = best_response(norm, (1, 2, 3, 4), serve=subset_serve(3))
-    assert thr.serve is norm.serve
-    assert sub.serve.dtype == thr.serve.dtype == float
-    assert sub.serve.shape == (16, 4)
+    sub = subset_serve(3)
+    assert sub.dtype == norm.serve.dtype == float
+    assert sub.shape == (16, 4)
+    assert {tuple(row) for row in norm.serve} <= {tuple(row) for row in sub}
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    N=st.integers(min_value=3, max_value=29),
+    N=st.integers(min_value=2, max_value=29),
     L=st.integers(min_value=1, max_value=4),
     h=st.integers(min_value=1, max_value=4),
-    delta=st.floats(min_value=0.0, max_value=0.95),
+    delta=st.floats(min_value=0.0, max_value=0.99),
     eps=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
     b=st.floats(min_value=1.05, max_value=10.0),
     actions=st.sampled_from(["threshold", "shuffled thresholds", "subset"]),
@@ -245,7 +244,9 @@ def test_batch_solver_matches_value_iteration_oracle(
     N, L, h, delta, eps, b, actions, adaptive, seed
 ):
     # Policy iteration lands on the fixed point value iteration approaches,
-    # with the same tie rule, whatever the order of the actions.  The oracle
+    # with the same tie rule, whatever the order of the actions.  Every call
+    # settles on the one stopping rule (greedy policies equal the evaluated
+    # ones), from a lone opponent (N = 2) up to delta = 0.99.  The oracle
     # stops within 1e-10 of the optimal values; the bound is ten times that,
     # relative to max(1, |v|) so that large values keep their rounding room.
     assume(h <= L)

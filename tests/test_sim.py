@@ -104,6 +104,9 @@ def test_replaced_spec_is_checked_like_a_parsed_one():
         (sweep, {"delta_grid": (0.3, 1.0)}),
         (sweep, {"delta_grid": ()}),
         (sweep, {"delta_grid": None}),
+        # two points would write one timeseries_delta_0.5.csv
+        (sweep, {"delta_grid": (0.5, 0.5)}),
+        (sweep, {"delta_grid": (0.5, 0.5000001)}),
         (evolution, {"groups": ((20, 0.5),)}),
         (evolution, {"b_var": 0.5}),
         (evolution, {"mode": "varying-b"}),
@@ -349,16 +352,25 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
 
 
 @pytest.mark.parametrize(
-    "periods, stride",
-    [(500, 1), (sim.BRIDGE_BURN_IN, 1), (2000, 0), (2000, -1)],
-    ids=["periods-below-burn-in", "periods-at-burn-in", "stride-zero", "stride-negative"],
+    "periods, stride, N, L",
+    [
+        (500, 1, 4, 3),
+        (sim.BRIDGE_BURN_IN, 1, 4, 3),
+        (2000, 0, 4, 3),
+        (2000, -1, 4, 3),
+        (2000, 1, 5, 3),
+        (2000, 1, 4, 2),
+    ],
+    ids=["periods-below-burn-in", "periods-at-burn-in", "stride-zero",
+         "stride-negative", "space-of-other-N", "space-of-other-L"],
 )
-def test_bridge_occupancy_rejects_bad_arguments(periods, stride, monkeypatch):
-    # arguments are checked before any period is played
+def test_bridge_occupancy_rejects_bad_arguments(periods, stride, N, L, monkeypatch):
+    # arguments, the census space included, are checked before any period
+    # is played
     monkeypatch.setattr(sim, "_trajectory", None)
     norm = make_norm(N=4, epsilon=0.05)
-    with pytest.raises(ValueError, match="burn-in|stride"):
-        sim.bridge_occupancy(norm, enumerate_configs(4, 3), periods, stride=stride)
+    with pytest.raises(ValueError, match="burn-in|stride|space built for"):
+        sim.bridge_occupancy(norm, enumerate_configs(N, L), periods, stride=stride)
 
 
 def test_engine_belief_rows_match_updated_row():
