@@ -103,8 +103,7 @@ def closed_form_bimodal(
     p = norm.params
     L, h, b, c, dlt = p.L, norm.h, p.b, p.c, p.delta
     eta = bimodal_opponent(norm, n0, nL, own_rep)  # validates the census
-    p0 = eta[0] / (p.N - 1)
-    pL = 1.0 - p0
+    p0, pL = eta[0] / (p.N - 1), eta[L] / (p.N - 1)
 
     comply_cut = (dlt * b - c) / (dlt * (b - c)) if dlt > 0 else -np.inf
     if p0 < comply_cut:
@@ -146,11 +145,12 @@ def solve_policy_batch(
                  (the baseline belief otherwise)
     bs           optional (K,) per-user benefit values
 
-    Returns (policies, values, resets, q, rounds).  ``policies[k, r]`` is
+    Returns (policies, values, played, q, rounds).  ``policies[k, r]`` is
     the action user k plays at reputation r: a threshold, or a row of
     ``serve``.  ``values`` (K, L+1) are the users' long-term utilities, and
-    ``resets[k, r]`` is the probability that playing ``policies[k, r]`` at
-    reputation r resets user k, read from the same model the solver used.
+    ``played[k, r]`` is the (reset, stay) pair of probabilities that playing
+    ``policies[k, r]`` at reputation r resets user k or lets it climb, read
+    from the same model the solver used.
     ``q`` (K, L+1, A) holds the action values against the final values, and
     ``rounds`` counts the policy-iteration rounds.  Each round evaluates the
     policies exactly and improves them greedily: Q-values within
@@ -178,7 +178,7 @@ def solve_policy_batch(
         serve = np.asarray(serve, dtype=float)
         order = np.argsort(-serve.sum(axis=1), kind="stable")
         serve = serve[order]
-    benefit, cost, reset = model_arrays(
+    benefit, cost, reset, stay = model_arrays(
         norm, etas, serve=serve, bs=bs, belief_rows=belief_rows
     )
     last = cost.shape[1] - 1
@@ -192,14 +192,14 @@ def solve_policy_batch(
     for rounds in range(1, MAX_ROUNDS + 1):
         # exact evaluation of the current policies: from r the user resets to
         # 0 or climbs to up[r] >= 1, so each row of T has two distinct entries
-        p0 = reset[kk, rr, policies]
+        p0, s0 = reset[kk, rr, policies], stay[kk, rr, policies]
         trans = np.zeros((K, S, S))
         trans[:, :, 0] = p0
-        trans[:, rr, up] = 1.0 - p0
+        trans[:, rr, up] = s0
         A = eye - dlt3 * trans
         values = np.linalg.solve(A, reward[kk, rr, policies, None])[:, :, 0]
         # greedy improvement, ties to the last action
-        cont = reset * values[:, :1, None] + (1.0 - reset) * values[:, up, None]
+        cont = reset * values[:, :1, None] + stay * values[:, up, None]
         q = reward + dlt3 * cont
         tied = q >= q.max(axis=2, keepdims=True) - POLICY_TIE_ATOL
         new_policies = last - tied[:, :, ::-1].argmax(axis=2)
@@ -213,4 +213,4 @@ def solve_policy_batch(
     if order is not None:
         policies = order[policies]
         q = q[:, :, np.argsort(order)]
-    return policies, values, p0, q, rounds
+    return policies, values, np.stack([p0, s0], axis=2), q, rounds

@@ -170,11 +170,13 @@ def build_transition_matrix(
     ``ConfigError``.  Each user plays its best response to the census with
     itself removed, every (census, occupied reputation) pair solved in one
     ``solve_policy_batch`` call; given the census, it independently resets to
-    reputation 0 with its played threshold's reset probability and otherwise
-    climbs one step (capped at the top).  All (census, reset-count
-    vector k) pairs are enumerated at once, one bucket at a time with the last
-    bucket fastest; a pair's probability is the product of its buckets'
-    binomial pmf entries in reputation order, each distinct pmf computed once.
+    reputation 0 or climbs one step (capped at the top) with the (reset,
+    stay) probabilities that call returns for its played threshold.  All
+    (census, reset-count vector k) pairs are enumerated at once, one bucket at
+    a time with the last bucket fastest; a pair's probability is the product
+    of its buckets' binomial pmf entries in reputation order, each distinct
+    pmf computed once from both probabilities, never from one minus the
+    other, so at epsilon = 0 the entries that cannot happen are exactly 0.
     k sends sum(k) users to 0 and bucket r's other n_r - k_r one step up (L-1
     and L merge at L); each destination's column is its lexicographic rank,
     and one ``np.bincount`` per chunk of about 2**15 pairs fills the rows.
@@ -192,20 +194,19 @@ def build_transition_matrix(
         norm = SocialNorm(params=replace(p, epsilon=epsilon), h=norm.h)
     L, m = p.L, len(space)
     counts = space.counts
-    # each user's reset probability at its played threshold; unoccupied
-    # (census, reputation) entries stay 0 and never matter
+    # each user's (reset, stay) probabilities at its played threshold;
+    # unoccupied (census, reputation) entries stay 0 and never matter
     cfg, rep = np.nonzero(counts)
-    resets = np.zeros((m, L + 1))
-    resets[cfg, rep] = solve_policy_batch(
+    played = np.zeros((m, L + 1, 2))
+    played[cfg, rep] = solve_policy_batch(
         norm, opponent_of(counts[cfg], rep), p.delta
     )[2][np.arange(cfg.size), rep]
-    nq, which = np.unique(
-        np.stack([counts.ravel(), resets.ravel()], axis=1), axis=0, return_inverse=True
-    )
-    n_q = nq[:, 0].astype(np.int64)
+    nqs, which = np.unique(np.column_stack([counts.ravel(), played.reshape(-1, 2)]),
+                           axis=0, return_inverse=True)
+    n_q = nqs[:, 0].astype(np.int64)
     # Python float powers: numpy's vectorised power may differ in the last bit
-    pmfs = np.array([math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
-                     for n, q in zip(n_q.tolist(), nq[:, 1].tolist())
+    pmfs = np.array([math.comb(n, k) * q**k * s ** (n - k)
+                     for n, q, s in zip(n_q.tolist(), *nqs[:, 1:].T.tolist())
                      for k in range(n + 1)])
     base = (np.cumsum(n_q + 1) - (n_q + 1))[which].reshape(m, L + 1)  # pmf starts
     cum = np.cumsum(np.prod(counts + 1, axis=1))
@@ -428,7 +429,7 @@ def classify_absorbing(
     """
     analytic = _analytic_absorbing_indices(norm, space)
     P0 = build_transition_matrix(norm, space, epsilon=0.0)
-    numeric = {int(i) for i in np.flatnonzero(np.diag(P0.entries) >= 1.0 - 1e-12)}
+    numeric = {int(i) for i in np.flatnonzero(np.diag(P0.entries) == 1.0)}
     if analytic != numeric:
         only_a = sorted(tuple(space.counts[i].tolist()) for i in analytic - numeric)
         only_n = sorted(tuple(space.counts[i].tolist()) for i in numeric - analytic)
@@ -438,5 +439,5 @@ def classify_absorbing(
         )
     return AbsorbingClassification(
         absorbing_indices=tuple(sorted(numeric)),
-        classes=_closed_classes(P0.entries > 1e-15),
+        classes=_closed_classes(P0.entries > 0),
     )

@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .norms import CommunityParams, SocialNorm
+from .norms import CommunityParams, ConfigError, SocialNorm
 
 H_TOL = 1e-9  # solve_H's bisection width
 
@@ -107,16 +107,17 @@ def feasible_region_grid(
     """Tabulate H and the largest feasible threshold over a parameter grid.
 
     Returns rows (delta, c_over_b, H, max_feasible_h); H and max_feasible_h
-    are None where no threshold can enforce full cooperation.
+    are None where no threshold can enforce full cooperation.  An empty grid
+    or a point outside 0 <= delta < 1, 0 < c/b < 1 raises ``ConfigError``.
     """
     cells = [(float(d), float(cb)) for d in delta_grid for cb in cb_grid]
     if not cells:
-        raise ValueError("grids must be nonempty")
+        raise ConfigError("grids must be nonempty")
     for d, cb in cells:
         if not 0 <= d < 1:
-            raise ValueError(f"delta {d} outside [0, 1)")
+            raise ConfigError(f"delta {d} outside [0, 1)")
         if not 0 < cb < 1:
-            raise ValueError(f"c/b {cb} outside (0, 1)")
+            raise ConfigError(f"c/b {cb} outside (0, 1)")
     rows = []
     for delta, cb in cells:
         params = CommunityParams(N=2, L=L, b=1.0, c=cb, delta=delta)

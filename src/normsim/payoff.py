@@ -9,12 +9,13 @@ with probability 1 - epsilon and complies otherwise.
 
 A census is its counts: L+1 integers, the number of users at each
 reputation 0..L.  ``opponent_of`` removes the users themselves from their
-censuses, and ``model_arrays`` builds the expected benefit, cost and reset
-probability for a batch of users, each against its own opponent census; it
-is the one place that checks an opponent census (shape, sign and sum), and
-every solver takes its model from there.  It builds no tables of the rule:
-the prescribed contributions, the threshold actions' service and their
-mismatch tensor are read from the ``SocialNorm``.
+censuses, and ``model_arrays`` builds the expected benefit, cost, reset
+and stay probabilities for a batch of users, each against its own opponent
+census; it is the one place that checks an opponent census (shape, sign and
+sum) and that decides how likely a played action resets its user or lets it
+climb, and every solver takes its model from there.  It builds no tables of
+the rule: the prescribed contributions, the threshold actions' service and
+their mismatch tensor are read from the ``SocialNorm``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def model_arrays(
     serve: np.ndarray | None = None,
     bs=None,
     belief_rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expected benefit, cost and reset probability for a batch of users.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Expected benefit, cost, reset and stay probabilities for a batch of users.
 
     etas         (K, L+1) opponent censuses, nonnegative, each summing to N-1
     serve        (A, L+1) serve indicators of the candidate actions; default
@@ -60,7 +61,10 @@ def model_arrays(
                  default the baseline belief
 
     Returns benefit (K, L+1) indexed by own reputation, cost (K, A) indexed
-    by action, and reset (K, L+1, A) indexed by own reputation and action.
+    by action, and reset and stay (K, L+1, A) indexed by own reputation and
+    action.  Each comes from its own exact count of opponents, not as one
+    minus the other, so both keep full relative accuracy at tiny epsilon and
+    are exactly 0 or 1 at epsilon = 0 where no or every opponent mismatches.
     Raises ValueError for a census of another shape, a negative entry or a
     row that does not sum to N-1.
     """
@@ -98,5 +102,7 @@ def model_arrays(
     # A matched client's report punishes the server whenever the realized
     # contribution disagrees with the social rule and the report is correct,
     # or agrees and the report is flipped (see ``SocialNorm.mismatch_of``).
-    reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
-    return benefit, cost, reset
+    bad = np.einsum("tac,kc->kta", mism, etas)  # mismatching opponents, exact
+    reset = eps + (1.0 - 2.0 * eps) * (bad / (p.N - 1))
+    stay = eps + (1.0 - 2.0 * eps) * ((p.N - 1 - bad) / (p.N - 1))
+    return benefit, cost, reset, stay

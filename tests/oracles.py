@@ -9,17 +9,28 @@ at a time, against ``SocialNorm``'s tables and the engine's reputation
 step.  ``verify_threshold_structure`` solves over every service set as well
 as over thresholds, against the threshold action space the program uses.
 ``sample_trajectory`` walks a chain kernel state by state, against its
-stationary distribution.
+stationary distribution.  ``exact_kernel`` and ``exact_stationary`` build a
+census kernel and its stationary distribution in exact rational arithmetic,
+against the float kernel and its GTH solve.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 
-from normsim.bestresponse import POLICY_TIE_ATOL, best_response, subset_serve
-from normsim.chain import TransitionMatrix
+from normsim.bestresponse import (
+    POLICY_TIE_ATOL,
+    best_response,
+    solve_policy_batch,
+    subset_serve,
+)
+from normsim.chain import ConfigSpace, TransitionMatrix
 from normsim.norms import SocialNorm
-from normsim.payoff import model_arrays
+from normsim.payoff import model_arrays, opponent_of
 
 TOLERANCE = 1e-10
 MAX_SWEEPS = 10**6
@@ -43,7 +54,7 @@ def value_iteration(
     serve_all = norm.serve if serve is None else np.asarray(serve, dtype=float)
     # stable order: more services first, so the last tied entry serves fewest
     prefer = np.argsort(-serve_all.sum(axis=1), kind="stable")
-    benefit, cost, reset = model_arrays(
+    benefit, cost, reset, stay = model_arrays(
         norm,
         [eta],
         serve=serve,
@@ -51,13 +62,13 @@ def value_iteration(
         belief_rows=None if belief_rows is None else np.asarray(belief_rows)[None],
     )
     reward = benefit[0][:, None] - cost[0][None, :]
-    reset = reset[0]
+    reset, stay = reset[0], stay[0]
     up = norm.up
     stop = TOLERANCE * (1.0 - dlt) / dlt if dlt > 0 else 0.0
 
     values = np.zeros(norm.params.L + 1)
     for sweeps in range(1, MAX_SWEEPS + 1):
-        cont = reset * values[0] + (1.0 - reset) * values[up][:, None]
+        cont = reset * values[0] + stay * values[up][:, None]
         q = reward + dlt * cont
         new_values = q.max(axis=1)
         residual = float(np.abs(new_values - values).max())
@@ -155,3 +166,62 @@ def sample_trajectory(
         state = int(np.searchsorted(cum[state], draws[t]))
         counts[state] += 1
     return counts
+
+
+def exact_kernel(norm: SocialNorm, space: ConfigSpace, eps: float) -> list[list[Fraction]]:
+    """The census kernel of ``norm`` at error rate ``eps`` in exact rationals.
+
+    The played thresholds come from the float solver, as in
+    ``build_transition_matrix``; everything after them is exact.  A user at
+    reputation r whose played action mismatches ``bad`` of its N-1 opponents
+    resets with q = eps + (1 - 2 eps) * bad / (N - 1), with ``eps`` the float
+    read exactly, and climbs with 1 - q; each row is the convolution of the
+    occupied buckets' binomial reset counts.
+    """
+    norm = SocialNorm(params=replace(norm.params, epsilon=eps), h=norm.h)
+    p = norm.params
+    counts = space.counts
+    cfg, rep = np.nonzero(counts)
+    etas = opponent_of(counts[cfg], rep)
+    thresholds = solve_policy_batch(norm, etas, p.delta)[0][np.arange(cfg.size), rep]
+    e = Fraction(eps)
+    dists = [{(0,) * (p.L + 1): Fraction(1)} for _ in range(len(space))]
+    for i, r, eta, a in zip(cfg.tolist(), rep.tolist(), etas, thresholds.tolist()):
+        bad = int(round(float(norm.mismatch[r, a] @ eta)))
+        q = e + (1 - 2 * e) * Fraction(bad, p.N - 1)
+        n = int(counts[i, r])
+        pmf = [math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1)]
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for dest, prob in dists[i].items():
+            for k, pk in enumerate(pmf):
+                if pk:
+                    step = list(dest)
+                    step[0] += k
+                    step[int(norm.up[r])] += n - k
+                    nxt[tuple(step)] = nxt.get(tuple(step), 0) + prob * pk
+        dists[i] = nxt
+    P = [[Fraction(0)] * len(space) for _ in range(len(space))]
+    for i, dist in enumerate(dists):
+        for dest, prob in dist.items():
+            P[i][space.index_of(dest)] = prob
+    return P
+
+
+def exact_stationary(P: list[list[Fraction]]) -> list[Fraction]:
+    """Stationary distribution of an irreducible exact kernel by GTH state
+    reduction (Grassmann, Taksar and Heyman 1985), one state at a time."""
+    A = [row[:] for row in P]
+    n = len(A)
+    for k in range(n - 1, 0, -1):
+        s = sum(A[k][:k])
+        for i in range(k):
+            if A[i][k]:
+                A[i][k] /= s
+                for j in range(k):
+                    if A[k][j]:
+                        A[i][j] += A[i][k] * A[k][j]
+    x = [Fraction(1)]
+    for k in range(1, n):
+        x.append(sum(x[i] * A[i][k] for i in range(k)))
+    total = sum(x)
+    return [v / total for v in x]

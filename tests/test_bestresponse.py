@@ -31,7 +31,7 @@ def brute_force_values(norm, eta):
     """
     p = norm.params
     L = p.L
-    benefit, cost, reset = (a[0] for a in model_arrays(norm, [eta]))
+    benefit, cost, reset, stay = (a[0] for a in model_arrays(norm, [eta]))
     up = np.minimum(np.arange(L + 1) + 1, L)
     best = np.full(L + 1, -np.inf)
     for policy in product(range(L + 2), repeat=L + 1):
@@ -40,7 +40,7 @@ def brute_force_values(norm, eta):
         r = benefit - cost[pol]
         T = np.zeros((L + 1, L + 1))
         T[np.arange(L + 1), 0] += q
-        T[np.arange(L + 1), up] += 1 - q
+        T[np.arange(L + 1), up] += stay[np.arange(L + 1), pol]
         v = np.linalg.solve(np.eye(L + 1) - p.delta * T, r)
         best = np.maximum(best, v)
     return best
@@ -260,13 +260,14 @@ def test_batch_solver_matches_value_iteration_oracle(
         "shuffled thresholds": rng.permutation(norm.serve),
         "subset": subset_serve(L),
     }[actions]
-    policies, values, resets, q, _ = solve_policy_batch(
+    policies, values, played, q, _ = solve_policy_batch(
         norm, etas, np.full(K, delta), serve=serve, belief_rows=beliefs
     )
-    played = model_arrays(norm, etas, serve=serve, belief_rows=beliefs)[2]
-    rr = np.arange(L + 1)
+    # the played (reset, stay) pair is the model's, at the played action
+    _, _, reset, stay = model_arrays(norm, etas, serve=serve, belief_rows=beliefs)
+    at = (np.arange(K)[:, None], np.arange(L + 1), policies)
     np.testing.assert_allclose(
-        resets, played[np.arange(K)[:, None], rr, policies], rtol=0, atol=1e-15
+        played, np.stack([reset[at], stay[at]], axis=2), rtol=0, atol=1e-15
     )
     for k in range(K):
         rows = None if beliefs is None else beliefs[k]
@@ -294,7 +295,8 @@ def test_batch_solver_matches_value_iteration_oracle(
 def _model_arrays_reference(norm, etas, *, bs=None, belief_rows=None):
     """Reference: ``payoff.model_arrays`` on threshold actions as it stood
     before its constant tensors were cached, with every tensor rebuilt per
-    call."""
+    call; the reset and stay probabilities each come from an exact count of
+    opponents."""
     p = norm.params
     L = p.L
     eps = p.epsilon
@@ -316,8 +318,10 @@ def _model_arrays_reference(norm, etas, *, bs=None, belief_rows=None):
         benefit = np.einsum("kr,krs->ks", etas, serve_prob) * b[:, None] / (p.N - 1)
     cost = (p.c / (p.N - 1)) * (etas @ serve.T)
     mism = (serve[None, :, :] != phi[:, None, :]).astype(float)
-    reset = eps + (1.0 - 2.0 * eps) * np.einsum("tac,kc->kta", mism, frac)
-    return benefit, cost, reset
+    bad = np.einsum("tac,kc->kta", mism, etas)
+    reset = eps + (1.0 - 2.0 * eps) * (bad / (p.N - 1))
+    stay = eps + (1.0 - 2.0 * eps) * ((p.N - 1 - bad) / (p.N - 1))
+    return benefit, cost, reset, stay
 
 
 def _solve_policy_batch_reference(
@@ -330,7 +334,7 @@ def _solve_policy_batch_reference(
     etas = np.asarray(etas, dtype=float)
     K = etas.shape[0]
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (K,))
-    benefit, cost, reset = _model_arrays_reference(
+    benefit, cost, reset, stay = _model_arrays_reference(
         norm, etas, bs=bs, belief_rows=belief_rows
     )
     reward = benefit[:, :, None] - cost[:, None, :]
@@ -342,15 +346,14 @@ def _solve_policy_batch_reference(
     rows = np.arange(S)
     for _ in range(max_rounds):
         p0 = np.take_along_axis(reset, policies[:, :, None], axis=2)[:, :, 0]
+        s0 = np.take_along_axis(stay, policies[:, :, None], axis=2)[:, :, 0]
         r_pi = np.take_along_axis(reward, policies[:, :, None], axis=2)[:, :, 0]
         trans = np.zeros((K, S, S))
         trans[:, rows, 0] += p0
-        trans[:, rows, up] += 1.0 - p0
+        trans[:, rows, up] += s0
         A = np.eye(S)[None, :, :] - deltas[:, None, None] * trans
         values = np.linalg.solve(A, r_pi[:, :, None])[:, :, 0]
-        cont = reset * values[:, 0, None, None] + (1.0 - reset) * values[:, up][
-            :, :, None
-        ]
+        cont = reset * values[:, 0, None, None] + stay * values[:, up][:, :, None]
         q = reward + deltas[:, None, None] * cont
         tied = q >= q.max(axis=2, keepdims=True) - 1e-9
         new_policies = (L + 1) - np.argmax(tied[:, :, ::-1], axis=2)
@@ -359,12 +362,13 @@ def _solve_policy_batch_reference(
         if prev_values is not None and np.abs(values - prev_values).max() < 1e-13:
             policies = new_policies
             p0 = np.take_along_axis(reset, policies[:, :, None], axis=2)[:, :, 0]
+            s0 = np.take_along_axis(stay, policies[:, :, None], axis=2)[:, :, 0]
             break
         prev_values = values
         policies = new_policies
     else:
         raise RuntimeError(f"policy iteration did not settle within {max_rounds} rounds")
-    return policies, values, p0
+    return policies, values, np.stack([p0, s0], axis=2)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,14 @@ from normsim import (
     enumerate_configs,
     limiting_distribution,
     model_arrays,
+    opponent_of,
     stationary_distribution,
     stationary_linear,
 )
 from normsim.bestresponse import best_response, solve_policy_batch
 from normsim.chain import _census_rank, _closed_classes, _rank_offsets
 from normsim.norms import ConfigError
-from oracles import sample_trajectory
+from oracles import exact_kernel, exact_stationary, sample_trajectory
 
 
 def make_norm(N=6, L=3, b=3.0, c=1.0, delta=0.6, epsilon=0.01, h=1):
@@ -102,8 +104,8 @@ def _kernel_by_convolution(norm, space, eps):
     """Reference: each row as a dict convolution of the per-bucket binomial
     reset counts, one reputation at a time, under the rung's norm (``norm``
     at error rate ``eps``).  Every pair's threshold is solved here in one
-    batch, and its reset is read from the model at that threshold, not from
-    the solver."""
+    batch, and its reset and stay probabilities are read from the model at
+    that threshold, not from the solver."""
     norm = SocialNorm(params=replace(norm.params, epsilon=eps), h=norm.h)
     L = norm.params.L
     counts = space.counts.astype(float)
@@ -112,9 +114,10 @@ def _kernel_by_convolution(norm, space, eps):
     etas = counts[cfg]
     etas[pair, rep] -= 1.0
     policies = solve_policy_batch(norm, etas, norm.params.delta)[0]
-    _, _, reset = model_arrays(norm, etas)
-    resets = np.zeros((len(space), L + 1))
+    _, _, reset, stay = model_arrays(norm, etas)
+    resets, stays = np.zeros((len(space), L + 1)), np.zeros((len(space), L + 1))
     resets[cfg, rep] = reset[pair, rep, policies[pair, rep]]
+    stays[cfg, rep] = stay[pair, rep, policies[pair, rep]]
     # columns from a dict over the rows, independent of _census_rank
     index = {tuple(c): i for i, c in enumerate(space.counts.tolist())}
     P = np.zeros((len(space), len(space)))
@@ -125,9 +128,9 @@ def _kernel_by_convolution(norm, space, eps):
             n = mu[rep]
             if n == 0:
                 continue
-            q = float(resets[i, rep])
+            q, s = float(resets[i, rep]), float(stays[i, rep])
             dest = min(L, rep + 1)
-            pmf = [math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)]
+            pmf = [math.comb(n, k) * q**k * s ** (n - k) for k in range(n + 1)]
             nxt: dict[tuple[int, ...], float] = {}
             for counts, prob in dist.items():
                 base = list(counts)
@@ -168,6 +171,89 @@ def test_kernel_matches_dict_convolution(N, L, h, delta, b, eps):
     space = enumerate_configs(N, L)
     P = build_transition_matrix(norm, space, epsilon=eps)
     assert np.array_equal(P.entries, _kernel_by_convolution(norm, space, eps))
+
+
+def test_zero_error_model_and_kernel_are_exact():
+    # At eps = 0 an action that no opponent or every opponent would report as
+    # a mismatch resets its user with probability exactly 0 or 1, and climbs
+    # with exactly 1 or 0.  The zero-error kernel then holds no rounding
+    # residue: a transition that cannot happen is exactly 0, and one that can
+    # has probability at least (1/(N-1))**N, about 3.6e-6 here.
+    norm = make_norm(N=7, delta=0.3, b=2.0, h=1, epsilon=0.0)
+    space = enumerate_configs(7, 3)
+    cfg, rep = np.nonzero(space.counts)
+    pair = np.arange(cfg.size)
+    etas = opponent_of(space.counts[cfg], rep)
+    policies, _, played = solve_policy_batch(norm, etas, norm.params.delta)[:3]
+    action, played = policies[pair, rep], played[pair, rep]
+    bad = np.einsum("kc,kc->k", norm.mismatch[rep, action], etas)
+    edge = (bad == 0) | (bad == 6)
+    assert edge.sum() > 100
+    assert np.array_equal(played[edge, 0], (bad[edge] == 6).astype(float))
+    assert np.array_equal(played[edge, 1], (bad[edge] == 0).astype(float))
+    P0 = build_transition_matrix(norm, space, epsilon=0.0).entries
+    assert not ((P0 > 0) & (P0 <= 1e-15)).any()
+
+
+def _gamma(k):
+    """Relative error bound of k roundings in float64: k u / (1 - k u), with
+    the unit roundoff u = 2**-53 (Higham's gamma_k)."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(min_value=2, max_value=4),
+    h=st.integers(min_value=1, max_value=3),
+    delta=st.floats(min_value=0.0, max_value=0.95),
+    b=st.floats(min_value=1.05, max_value=10.0),
+    log_eps=st.floats(min_value=-12.0, max_value=math.log10(0.2)),
+)
+@example(N=4, h=1, delta=0.6, b=3.0, log_eps=-12.0)
+def test_kernel_and_stationary_keep_relative_accuracy(N, h, delta, b, log_eps):
+    # Every nonzero kernel entry and every stationary weight against the same
+    # model in exact rationals, with the float solver's thresholds, to a
+    # componentwise relative bound counted from the operations.  Every
+    # operation acts on nonnegative numbers, so, to first order, relative
+    # errors add and each rounding adds at most u.
+    # - Kernel: reset and stay, eps + (1 - 2 eps) * (bad / (N - 1)), take 4
+    #   roundings each.  A bucket's pmf entry comb(n, k) q**k s**(n - k)
+    #   carries 4 from each of its n factors, 2 from each power (within one
+    #   ulp) and 1 from each of two products: 4n + 6.  A pair multiplies L + 1
+    #   buckets (L roundings), and an entry sums at most T pairs, T the
+    #   largest prod(n_r + 1) (T - 1 roundings).  So kP = 4N + 7L + 5 + T.
+    # - Stationary weights: by the Markov chain tree theorem, relative
+    #   changes of at most a in every off-diagonal entry move each weight by
+    #   at most 2(n - 1) a (O'Cinneide 1993, "Entrywise perturbation theory
+    #   and error analysis for Markov chains"), which carries the kernel's
+    #   error through.  For GTH's own rounding, O'Cinneide's argument bounds
+    #   the weights' error by a multiple of n^3 u: eliminating state k
+    #   perturbs each entry of the chain censored on the k states below it by
+    #   at most k + 2 roundings, which moves that chain's weights by
+    #   2(k - 1)(k + 2) u, back-substitution adds k + 1, and normalising twice
+    #   adds 2n.  That count is below n^3 at these sizes; the blocked solve
+    #   sums in another order, allowed for by a second n^3.
+    eps = 10.0**log_eps
+    norm = make_norm(N=N, b=b, delta=delta, epsilon=eps, h=h)
+    space = enumerate_configs(N, 3)
+    n = len(space)
+    P = build_transition_matrix(norm, space)
+    exact = exact_kernel(norm, space, eps)
+    kP = 4 * N + 7 * 3 + 5 + int(np.prod(space.counts + 1, axis=1).max())
+    for i in range(n):
+        for j in range(n):
+            assert (P.entries[i, j] > 0) == (exact[i][j] > 0), (i, j)
+            if exact[i][j]:
+                err = float(abs(Fraction(P.entries[i, j]) - exact[i][j]) / exact[i][j])
+                assert err <= _gamma(kP), (i, j, err)
+    counted = sum(2 * (k - 1) * (k + 2) + k + 1 for k in range(1, n)) + 2 * n
+    assert counted <= n**3
+    bound = 2 * (n - 1) * _gamma(kP) + _gamma(2 * n**3)
+    w = stationary_distribution(P).weights
+    for j, want in enumerate(exact_stationary(exact)):
+        err = float(abs(Fraction(w[j]) - want) / want)
+        assert err <= bound, (j, err)
 
 
 def test_census_rank_matches_enumeration():

@@ -236,8 +236,10 @@ def test_design_finishes_where_H_outgrows_the_float_spacing_of_tol(capsys):
 def test_design_rejects_bad_grid(capsys):
     for grid in ("oops", "0.1:inf:0.1", "nan:0.5:0.1"):
         assert main(["design", "--delta-grid", grid, "--cb-grid", "0.3:0.3:0.1"]) == 2
-    # delta outside [0,1) is an invariant violation, not a parse error
-    assert main(["design", "--delta-grid", "1.5:1.5:0.1", "--cb-grid", "0.3:0.3:0.1"]) == 1
+    # a grid point outside delta in [0, 1) or c/b in (0, 1) is a configuration
+    # error, as the same delta in a config file is
+    assert main(["design", "--delta-grid", "1.5:1.5:0.1", "--cb-grid", "0.3:0.3:0.1"]) == 2
+    assert main(["design", "--delta-grid", "0.5:0.5:0.1", "--cb-grid", "1:1:0.1"]) == 2
 
 
 def test_bestresponse_outputs_policy(norm_file, capsys):

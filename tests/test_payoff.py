@@ -39,19 +39,19 @@ def test_opponent_of_rejects_empty_bucket():
 def test_utility_all_compliant_top_reputation():
     # everyone good and compliant: utility is exactly b - c
     norm = make_norm(N=5, h=1, epsilon=0.0)
-    benefit, cost, _ = model_arrays(norm, [(0, 0, 0, 4)])
+    benefit, cost = model_arrays(norm, [(0, 0, 0, 4)])[:2]
     assert benefit[0, 3] - cost[0, 1] == pytest.approx(2.0)
 
 
 def test_utility_bad_client_gets_no_benefit():
     norm = make_norm(N=5, h=1, epsilon=0.0)
-    benefit, cost, _ = model_arrays(norm, [(0, 0, 0, 4)])
+    benefit, cost = model_arrays(norm, [(0, 0, 0, 4)])[:2]
     assert benefit[0, 0] - cost[0, 1] == pytest.approx(-1.0)
 
 
 def test_utility_all_defectors_zero():
     norm = make_norm(N=5, h=1, epsilon=0.0)
-    benefit, cost, _ = model_arrays(norm, [(4, 0, 0, 0)])
+    benefit, cost = model_arrays(norm, [(4, 0, 0, 0)])[:2]
     assert benefit[0, 2] - cost[0, 4] == pytest.approx(0.0)
 
 
@@ -59,7 +59,7 @@ def test_utility_affine_in_counts():
     norm = make_norm(N=9, h=2, epsilon=0.1)
     # base, bumped, and the single-reputation censuses at 0 and at 3
     etas = [(2, 2, 2, 2), (1, 2, 2, 3), (8, 0, 0, 0), (0, 0, 0, 8)]
-    benefit, cost, _ = model_arrays(norm, etas)
+    benefit, cost = model_arrays(norm, etas)[:2]
     u = benefit[:, :, None] - cost[:, None, :]  # [census, own rep, threshold]
     # moving one opponent from rep 0 to rep 3 changes utility by the
     # difference of the per-opponent coefficients
@@ -143,6 +143,7 @@ def test_beliefs_reshape_benefit_but_not_reset():
     assert not np.allclose(held[0], base[0])
     assert np.array_equal(held[1], base[1])
     assert np.array_equal(held[2], base[2])
+    assert np.array_equal(held[3], base[3])
     # a census's row does not depend on the rest of the batch
     assert base[2][0, 1, 3] == model_arrays(norm, etas[:1])[2][0, 1, 3]
 
