@@ -38,7 +38,6 @@ class BestResponseSolution:
     policy: np.ndarray  # action per reputation: its threshold, or its row in serve
     values: np.ndarray  # long-term utility per reputation
     iterations: int  # policy-iteration rounds
-    residual: float  # Bellman residual of values: max |max_a q - values|
     q: np.ndarray  # action values [rep, action] against values
 
 
@@ -72,7 +71,6 @@ def best_response(
         policy=policies[0],
         values=values[0],
         iterations=rounds,
-        residual=float(np.abs(q[0].max(axis=1) - values[0]).max()),
         q=q[0],
     )
 

@@ -423,13 +423,15 @@ def classify_absorbing(
 ) -> AbsorbingClassification:
     """Absorbing censuses, verified analytically and against the zero-error kernel.
 
-    The analytic incentive classification and the numeric self-transition
-    test must agree; a mismatch raises with the offending censuses.  Also
-    returns the closed communicating classes of the zero-error kernel.
+    Reads one thing from the zero-error kernel: its graph of nonzero entries.
+    Its closed communicating classes are returned, and its singleton classes
+    are the absorbing censuses, which must agree with the analytic incentive
+    classification; a mismatch raises with the offending censuses.
     """
     analytic = _analytic_absorbing_indices(norm, space)
     P0 = build_transition_matrix(norm, space, epsilon=0.0)
-    numeric = {int(i) for i in np.flatnonzero(np.diag(P0.entries) == 1.0)}
+    classes = _closed_classes(P0.entries > 0)
+    numeric = {c[0] for c in classes if len(c) == 1}
     if analytic != numeric:
         only_a = sorted(tuple(space.counts[i].tolist()) for i in analytic - numeric)
         only_n = sorted(tuple(space.counts[i].tolist()) for i in numeric - analytic)
@@ -438,6 +440,5 @@ def classify_absorbing(
             f"incentive-only {only_a}, kernel-only {only_n}"
         )
     return AbsorbingClassification(
-        absorbing_indices=tuple(sorted(numeric)),
-        classes=_closed_classes(P0.entries > 0),
+        absorbing_indices=tuple(sorted(numeric)), classes=classes
     )

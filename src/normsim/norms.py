@@ -141,11 +141,20 @@ class SocialNorm:
         return self.params.L
 
 
-def params_from_dict(doc: dict) -> CommunityParams:
-    """CommunityParams from a config mapping's N, L, b, c and delta (all
-    required here) and optional epsilon and gamma; a malformed value raises
-    ConfigError."""
-    return CommunityParams(
+_CONFIG_KEYS = ("N", "L", "b", "c", "delta", "epsilon", "gamma", "h")
+
+
+def norm_from_dict(doc: dict) -> SocialNorm:
+    """Build a SocialNorm from a plain config mapping: N, L, b, c, delta and
+    h are required, epsilon and gamma optional; unknown keys and malformed
+    values raise ConfigError."""
+    unknown = set(doc) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    missing = {"N", "L", "b", "c", "delta", "h"} - set(doc)
+    if missing:
+        raise ConfigError(f"missing config keys: {sorted(missing)}")
+    params = CommunityParams(
         N=config_number(doc["N"], "N", int),
         L=config_number(doc["L"], "L", int),
         b=config_number(doc["b"], "b"),
@@ -154,22 +163,7 @@ def params_from_dict(doc: dict) -> CommunityParams:
         epsilon=config_number(doc.get("epsilon", 0.0), "epsilon"),
         gamma=config_number(doc.get("gamma", 1.0), "gamma"),
     )
-
-
-_CONFIG_KEYS = ("N", "L", "b", "c", "delta", "epsilon", "gamma", "h")
-
-
-def norm_from_dict(doc: dict) -> SocialNorm:
-    """Build a SocialNorm from a plain config mapping; unknown keys are an error."""
-    unknown = set(doc) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"N", "L", "b", "c", "delta", "h"} - set(doc)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    return SocialNorm(
-        params=params_from_dict(doc), h=config_number(doc["h"], "h", int)
-    )
+    return SocialNorm(params=params, h=config_number(doc["h"], "h", int))
 
 
 def load_norm(path: str | Path) -> SocialNorm:

@@ -23,9 +23,7 @@ import numpy as np
 
 from .beliefs import updated_row
 from .bestresponse import solve_policy_batch
-from .norms import (
-    CommunityParams, ConfigError, SocialNorm, config_number, params_from_dict,
-)
+from .norms import ConfigError, SocialNorm, config_number, norm_from_dict
 from .payoff import opponent_of
 
 SCHEMA_VERSION = 1
@@ -35,11 +33,11 @@ BENEFIT_MARGIN = 1e-6
 # bridge_occupancy tallies only the periods after this one
 BRIDGE_BURN_IN = 1000
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
-_SPEC_KEYS = {
-    "mode", "N", "L", "b", "c", "delta", "epsilon", "gamma", "h",
-    "periods", "sample_stride", "seed", "initial_reputation",
+# the keys a spec owns; ``norm_from_dict`` parses every other key
+_RUN_KEYS = (
+    "mode", "periods", "sample_stride", "seed", "initial_reputation",
     "groups", "b_mean", "b_var", "delta_grid",
-}
+)
 # the spec fields each mode requires; every other mode must leave them None
 _MODE_KEYS = {
     "delta-sweep": ("delta_grid",),
@@ -50,13 +48,14 @@ _MODE_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated description of one simulation experiment; every value is
-    checked on construction, so ``dataclasses.replace`` checks its result
-    as ``from_dict`` does."""
+    """Validated description of one simulation experiment: the social norm
+    every user plays under (its params' delta is the community's own, a
+    placeholder in delta-sweep and mixed runs) and the run around it.  Every
+    value is checked on construction, so ``dataclasses.replace`` checks its
+    result as ``from_dict`` does."""
 
     mode: str
-    params: CommunityParams
-    h: int
+    norm: SocialNorm
     periods: int
     sample_stride: int
     seed: int
@@ -68,11 +67,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
-        """Parse a plain mapping; the checks are ``__post_init__``'s."""
-        unknown = set(doc) - _SPEC_KEYS
-        if unknown:
-            raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-        missing = {"mode", "N", "L", "b", "c", "h", "periods"} - set(doc)
+        """Parse a plain mapping: the run keys here, every other key by
+        ``norm_from_dict``; the checks are ``__post_init__``'s."""
+        missing = {"mode", "periods"} - set(doc)
         if doc.get("mode") not in ("delta-sweep", "mixed") and "delta" not in doc:
             missing.add("delta")
         if missing:
@@ -91,11 +88,11 @@ class ExperimentSpec:
             if not isinstance(doc["delta_grid"], list):
                 raise ConfigError("'delta_grid' must be a list")
             delta_grid = tuple(config_number(d, "grid delta") for d in doc["delta_grid"])
+        # delta-sweep and mixed specs may omit delta
+        norm_doc = {k: v for k, v in doc.items() if k not in _RUN_KEYS}
         return cls(
             mode=doc["mode"],
-            # delta-sweep and mixed specs may omit delta
-            params=params_from_dict({"delta": 0.5, **doc}),
-            h=config_number(doc["h"], "h", int),
+            norm=norm_from_dict({"delta": 0.5, **norm_doc}),
             periods=config_number(doc["periods"], "periods", int),
             sample_stride=config_number(doc.get("sample_stride", 1000), "sample_stride", int),
             seed=config_number(doc.get("seed", 0), "seed", int),
@@ -107,7 +104,6 @@ class ExperimentSpec:
         )
 
     def __post_init__(self):
-        SocialNorm(params=self.params, h=self.h)  # the norm checks h
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for mode, keys in _MODE_KEYS.items():
@@ -128,7 +124,7 @@ class ExperimentSpec:
         if self.groups is not None:
             if any(size < 1 for size, _ in self.groups):
                 raise ConfigError("group sizes must be positive")
-            if sum(size for size, _ in self.groups) != self.params.N:
+            if sum(size for size, _ in self.groups) != self.norm.params.N:
                 raise ConfigError("group sizes must sum to N")
         if self.delta_grid == ():
             raise ConfigError("'delta_grid' must be nonempty")
@@ -150,7 +146,7 @@ class ExperimentSpec:
     @property
     def b_floor(self) -> float:
         """Lower truncation point of the varying-b benefit draws."""
-        return self.params.c + BENEFIT_MARGIN
+        return self.norm.params.c + BENEFIT_MARGIN
 
 
 @dataclass
@@ -364,20 +360,19 @@ def run_evolution(spec: ExperimentSpec) -> tuple[list[PeriodMetrics], dict]:
     """Run one full trajectory at the spec's own delta and seed and return
     sampled metrics plus a summary.  Another delta or seed is another spec:
     ``dataclasses.replace(spec, seed=s)``."""
-    norm = SocialNorm(params=spec.params, h=spec.h)
     rng = np.random.default_rng(spec.seed)
     deltas = None
     if spec.groups is not None:
         deltas = np.concatenate([np.full(size, d) for size, d in spec.groups])
     state = initial_state(
-        norm, rng, initial_reputation=spec.initial_reputation, deltas=deltas,
+        spec.norm, rng, initial_reputation=spec.initial_reputation, deltas=deltas,
         adaptive=spec.mode == "adaptive-belief",
     )
     samples = [
-        m for m in _trajectory(state, norm, rng, spec.periods, spec)
+        m for m in _trajectory(state, spec.norm, rng, spec.periods, spec)
         if m.period % spec.sample_stride == 0 or m.period == spec.periods
     ]
-    summary = _summarize(spec, norm, state, samples)
+    summary = _summarize(spec, state, samples)
     return samples, summary
 
 
@@ -389,9 +384,8 @@ def _first_settled(inside: np.ndarray) -> int | None:
     return first if first < inside.size else None
 
 
-def _summarize(spec, norm, state, samples) -> dict:
-    L = norm.params.L
-    N = norm.params.N
+def _summarize(spec, state, samples) -> dict:
+    N, L = spec.norm.params.N, spec.norm.L
     frac_L = np.array([m.census[L] / N for m in samples])
     periods = np.array([m.period for m in samples])
     tail = max(1, len(samples) // 10)
@@ -428,7 +422,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
     runs = []
     for d in spec.delta_grid or (None,):
         point = spec if d is None else replace(
-            spec, params=replace(spec.params, delta=d)
+            spec, norm=replace(spec.norm, params=replace(spec.norm.params, delta=d))
         )
         samples, summary = run_evolution(point)
         if d is not None:

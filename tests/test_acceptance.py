@@ -204,7 +204,7 @@ def test_05_large_community_reaches_cooperation():
         # sqrt(f (1-f) / (seeds N)).  Three standard errors (0.017 here) allow
         # for sampling.  A community that has not settled, whose top users are
         # reset more often than eps, sends more climbers through the interior.
-        p = spec.params
+        p = spec.norm.params
         floor = sum(p.epsilon * (1 - p.epsilon) ** k for k in range(1, p.L))
         margin = 3 * np.sqrt(floor * (1 - floor) / (len(finals) * p.N))
         interior = mean[1 : p.L].sum()
@@ -238,7 +238,9 @@ def test_07_cooperation_monotone_in_patience_and_benefit():
             for d in deltas:
                 vals = [
                     run_evolution(replace(
-                        spec, params=replace(spec.params, delta=d), seed=s
+                        spec, seed=s, norm=replace(
+                            spec.norm, params=replace(spec.norm.params, delta=d)
+                        ),
                     ))[1][
                         "terminal_mean_fraction_top"
                     ]

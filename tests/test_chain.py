@@ -606,6 +606,23 @@ def _check_absorbing_against_kernel(N, L, h, b, delta):
     assert classify_absorbing(norm, space).absorbing_indices == kept
 
 
+def test_zero_error_self_loops_are_the_singleton_closed_classes():
+    # classify_absorbing takes the absorbing censuses from the singleton
+    # closed classes of the zero-error graph.  They are the censuses whose
+    # zero-error self-transition is exactly 1.0: a census whose played reset
+    # lies strictly between 0 and 1 in some bucket spreads its mass over at
+    # least two censuses, each entry at least (1/(N-1))^N, so it has neither
+    # a singleton class nor a unit diagonal.
+    for N, delta, b, h in itertools.product(
+        range(2, 11), (0.3, 0.6, 0.9), (2.0, 3.0, 5.0), (1, 2, 3)
+    ):
+        space = enumerate_configs(N, 3)
+        P0 = build_transition_matrix(make_norm(N=N, b=b, delta=delta, h=h), space, epsilon=0.0)
+        unit = tuple(np.flatnonzero(np.diag(P0.entries) == 1.0).tolist())
+        singletons = tuple(c[0] for c in _closed_classes(P0.entries > 0) if len(c) == 1)
+        assert unit == singletons, (N, delta, b, h)
+
+
 # Each cell puts some 0/L census at exact indifference: its top group between
 # complying and defecting, or its bottom group between defecting and climbing.
 @pytest.mark.parametrize(

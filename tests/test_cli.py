@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -160,37 +161,42 @@ def test_chain_rejects_bad_flags(norm_file, flags, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_chain_writes_artifacts(norm_file, tmp_path, capsys):
-    out = tmp_path / "chain"
-    code = main(
-        [
-            "chain",
-            "--config",
-            str(norm_file),
-            "--eps-ladder",
-            "1e-3,1e-4",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    doc = json.loads((out / "chain.json").read_text())
-    assert doc["N"] == 6
-    assert [0, 0, 0, 6] in doc["ssc_support"]
-    assert [6, 0, 0, 0] in doc["absorbing"]
-    lines = (out / "omega.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("config,")
-    assert len(lines) == 1 + 84  # census space of N=6, L=3
-    # omega.csv lists the censuses in chain.json's order: lexicographic, each
-    # once, and row i carries chain.json's i-th weight on every rung
-    cells = [line.split(",")[0] for line in lines[1:]]
-    assert cells[0] == '"0 0 0 6"' and cells[-1] == '"6 0 0 0"'
-    censuses = [[int(n) for n in cell.strip('"').split()] for cell in cells]
-    assert all(a < b for a, b in zip(censuses, censuses[1:]))
-    assert all(sum(c) == 6 and len(c) == 4 for c in censuses)
-    for col, eps in enumerate(doc["omega"], start=1):
-        assert [float(line.split(",")[col]) for line in lines[1:]] == doc["omega"][eps]
-    assert all(c in censuses for c in doc["ssc_support"] + doc["absorbing"])
+def test_chain_writes_artifacts(norm_file, tmp_path):
+    for N, ladder in [
+        (6, ["--eps-ladder", "1e-3,1e-4"]),
+        # 1771 censuses, 56 GTH panels and several kernel-build chunks per
+        # rung of the default ladder, past the sizes the other tests reach
+        (20, []),
+        # error rates far below the default ladder's 1e-5, where a kernel
+        # entry formed as one minus a probability near 1 would lose its
+        # relative accuracy (the smallest weight is about 4e-146)
+        (8, ["--eps-ladder", "1e-6,1e-9,1e-12"]),
+    ]:
+        config = tmp_path / f"n{N}.json"
+        config.write_text(json.dumps(dict(json.loads(norm_file.read_text()), N=N)))
+        out = tmp_path / f"n{N}-chain"
+        assert main(["chain", "--config", str(config), *ladder, "--out", str(out)]) == 0
+        doc = json.loads((out / "chain.json").read_text())
+        assert doc["N"] == N
+        # full cooperation is the support, and the three two-point censuses
+        # are the absorbing ones, each a singleton closed class
+        absorbing = [[0, 0, 0, N], [N - 1, 0, 0, 1], [N, 0, 0, 0]]
+        assert doc["ssc_support"] == [[0, 0, 0, N]]
+        assert doc["absorbing"] == absorbing
+        assert doc["absorbing_classes"] == [[c] for c in absorbing]
+        lines = (out / "omega.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("config,")
+        assert len(lines) == 1 + math.comb(N + 3, 3)  # census space of N, L=3
+        # omega.csv lists the censuses in chain.json's order: lexicographic,
+        # each once, and row i carries chain.json's i-th weight on every rung
+        cells = [line.split(",")[0] for line in lines[1:]]
+        assert cells[0] == f'"0 0 0 {N}"' and cells[-1] == f'"{N} 0 0 0"'
+        censuses = [[int(n) for n in cell.strip('"').split()] for cell in cells]
+        assert all(a < b for a, b in zip(censuses, censuses[1:]))
+        assert all(sum(c) == N and len(c) == 4 for c in censuses)
+        for col, eps in enumerate(doc["omega"], start=1):
+            column = [float(line.split(",")[col]) for line in lines[1:]]
+            assert column == doc["omega"][eps]
 
 
 def test_chain_stdout_and_population_override(norm_file, capsys):
@@ -266,6 +272,17 @@ def test_bestresponse_solver_error_is_an_invariant_violation(
     assert code == 1
     err = capsys.readouterr().err
     assert "invariant violation: policy iteration did not settle" in err
+
+
+def test_verify_quick_passes(capsys):
+    # the closed-form, absorbing and trajectory-bridge cross-checks; the
+    # command exits 1 on any disagreement
+    assert main(["verify", "--quick"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "closed-form equivalence: ok",
+        "absorbing classification: ok",
+        "trajectory bridge: ok",
+    ]
 
 
 def test_help_exits_zero():

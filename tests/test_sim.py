@@ -101,6 +101,8 @@ def test_replaced_spec_is_checked_like_a_parsed_one():
         (mixed, {"groups": ((0, 0.5),)}),
         (mixed, {"groups": ((20, 1.0),)}),
         (mixed, {"groups": ((10, 0.5),)}),
+        # the group sizes are checked against the norm's N
+        (mixed, {"norm": replace(mixed.norm, params=replace(mixed.norm.params, N=30))}),
         (sweep, {"delta_grid": (0.3, 1.0)}),
         (sweep, {"delta_grid": ()}),
         (sweep, {"delta_grid": None}),
@@ -114,12 +116,10 @@ def test_replaced_spec_is_checked_like_a_parsed_one():
         (evolution, {"sample_stride": 0}),
         (evolution, {"seed": -1}),
         (evolution, {"initial_reputation": "ones"}),
-        (evolution, {"h": 0}),
-        (evolution, {"h": 4}),
     ]:
         with pytest.raises(ConfigError):
             replace(spec, **change)
-    # the norm's own check of h runs when the spec is built
+    # the norm's own check of h runs when the spec is parsed
     with pytest.raises(ConfigError, match="h must be"):
         ExperimentSpec.from_dict(base_doc(h=0))
     varying = replace(evolution, mode="varying-b", b_mean=3.0, b_var=0.5)
@@ -308,7 +308,7 @@ def test_adaptation_uses_the_table_only_where_it_fits(mode):
     spec = ExperimentSpec.from_dict(base_doc(mode=mode, N=40, gamma=0.5, **(
         {"b_mean": 3.0, "b_var": 1.0} if mode == "varying-b" else {}
     )))
-    norm = SocialNorm(params=spec.params, h=spec.h)
+    norm = spec.norm
     rng = np.random.default_rng(3)
     state = initial_state(norm, rng, adaptive=mode == "adaptive-belief")
     for period in range(1, 31):
@@ -493,7 +493,7 @@ def test_adaptive_belief_mode_keeps_rows_stochastic():
     spec = ExperimentSpec.from_dict(
         base_doc(mode="adaptive-belief", N=15, periods=300, sample_stride=50)
     )
-    norm = SocialNorm(params=spec.params, h=spec.h)
+    norm = spec.norm
     rng = np.random.default_rng(spec.seed)
     state = initial_state(norm, rng, adaptive=True)
     for period in range(1, 301):
