@@ -143,24 +143,21 @@ def solve_policy_batch(
                  (the baseline belief otherwise)
     bs           optional (K,) per-user benefit values
 
-    Returns (policies, values, played, q, rounds).  ``policies[k, r]`` is
-    the action user k plays at reputation r: a threshold, or a row of
-    ``serve``.  ``values`` (K, L+1) are the users' long-term utilities, and
-    ``played[k, r]`` is the (reset, stay) pair of probabilities that playing
-    ``policies[k, r]`` at reputation r resets user k or lets it climb, read
-    from the same model the solver used.
-    ``q`` (K, L+1, A) holds the action values against the final values, and
-    ``rounds`` counts the policy-iteration rounds.  Each round evaluates the
-    policies exactly and improves them greedily: Q-values within
-    ``POLICY_TIE_ATOL`` of the best tie, and ties go to the action serving
-    fewest clients (the larger threshold; among service sets of one size,
-    the later row of ``serve``).  The one stopping rule is that the greedy
-    policies equal the evaluated ones, and ties cannot make it cycle: an
-    improvement never lowers the values, and a policy reached through exact
-    ties has its predecessor's values, so the greedy step, a function of the
-    values, maps it to itself next round.  Only a real Q-value gap inside the
-    tie band could break this; the solver then raises RuntimeError ("did not
-    settle") after ``MAX_ROUNDS`` rounds rather than return a cycling policy.
+    Returns (policies, values, played, q, rounds): ``policies[k, r]``, the
+    action user k plays at reputation r (a threshold, or a row of
+    ``serve``); the (K, L+1) long-term utilities; the (reset, stay) pair
+    that the model gives each played action; the (K, L+1, A) action values
+    against the final values; and the policy-iteration rounds.  Each round
+    evaluates the policies exactly and improves them greedily: Q-values
+    within ``POLICY_TIE_ATOL`` of the best tie, and ties go to the action
+    serving fewest clients, then to the later row.  The one stopping rule is
+    that the greedy policies equal the evaluated ones, and ties cannot make it
+    cycle: an improvement never lowers the values, and a policy reached
+    through exact ties has its predecessor's values, so the greedy step, a
+    function of the values, maps it to itself next round.  Only a real
+    Q-value gap inside the tie band could break this; the solver then raises
+    RuntimeError ("did not settle") after ``MAX_ROUNDS`` rounds rather than
+    return a cycling policy.
     """
     L = norm.params.L
     S = L + 1
@@ -169,24 +166,19 @@ def solve_policy_batch(
     dlt = np.empty(K)
     dlt[:] = deltas
     dlt3 = dlt[:, None, None]
-    order = None
-    if serve is not None:
-        # ties go to the last action, so the actions serving fewest go last;
-        # threshold actions are in this order already
-        serve = np.asarray(serve, dtype=float)
-        order = np.argsort(-serve.sum(axis=1), kind="stable")
-        serve = serve[order]
     benefit, cost, reset, stay = model_arrays(
         norm, etas, serve=serve, bs=bs, belief_rows=belief_rows
     )
-    last = cost.shape[1] - 1
+    # the tie rank: fewest clients served first, then the later row
+    served = (norm.serve if serve is None else np.asarray(serve)).sum(axis=1)
+    rank = np.arange(served.size) - served.size * served
     reward = benefit[:, :, None] - cost[:, None, :]  # (K, own, a)
     rr = np.arange(S)
     up = norm.up
     eye = np.eye(S)
     kk = np.arange(K)[:, None]  # played entries of (K, own, a): arr[kk, rr, policies]
 
-    policies = np.full((K, S), last, dtype=np.int64)
+    policies = np.full((K, S), rank.argmax())
     for rounds in range(1, MAX_ROUNDS + 1):
         # exact evaluation of the current policies: from r the user resets to
         # 0 or climbs to up[r] >= 1, so each row of T has two distinct entries
@@ -196,11 +188,11 @@ def solve_policy_batch(
         trans[:, rr, up] = s0
         A = eye - dlt3 * trans
         values = np.linalg.solve(A, reward[kk, rr, policies, None])[:, :, 0]
-        # greedy improvement, ties to the last action
+        # greedy improvement, ties to the highest rank
         cont = reset * values[:, :1, None] + stay * values[:, up, None]
         q = reward + dlt3 * cont
         tied = q >= q.max(axis=2, keepdims=True) - POLICY_TIE_ATOL
-        new_policies = last - tied[:, :, ::-1].argmax(axis=2)
+        new_policies = np.where(tied, rank, -np.inf).argmax(axis=2)
         if (new_policies == policies).all():
             break
         policies = new_policies
@@ -208,7 +200,4 @@ def solve_policy_batch(
         raise RuntimeError(
             f"policy iteration did not settle within {MAX_ROUNDS} rounds"
         )
-    if order is not None:
-        policies = order[policies]
-        q = q[:, :, np.argsort(order)]
     return policies, values, np.stack([p0, s0], axis=2), q, rounds

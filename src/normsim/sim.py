@@ -239,7 +239,10 @@ def run_period(
 ) -> PeriodMetrics:
     """Play one period in place: match, serve, report, update reputations.
 
-    Metrics use the realized contributions, not the possibly flipped reports;
+    Each server serves by ``norm.serve`` at its threshold, and its reputation
+    resets to 0 where ``norm.mismatch`` and the report flip disagree: a
+    correct report of a mismatch, or a flipped report of a match.  Metrics
+    use the realized contributions, not the possibly flipped reports;
     adaptive users fold their own client-side observation into their beliefs.
     """
     p = norm.params
@@ -250,11 +253,11 @@ def run_period(
     client_of = np.empty_like(server_of)  # client_of[j] is served by j
     client_of[server_of] = np.arange(N)
     client_rep = state.rep[client_of]
-    z = (client_rep >= state.thr).astype(np.int64)  # realized, by server
+    z = norm.serve[state.thr, client_rep]  # realized, by server
     flips = rng.random(N) < p.epsilon
-    reported = np.where(flips, 1 - z, z)
-    prescribed = norm.phi[state.rep, client_rep]
-    new_rep = np.where(reported == prescribed, norm.up[state.rep], 0)
+    # a flipped report turns a mismatch into a match and back
+    reset = norm.mismatch[state.rep, state.thr, client_rep] != flips
+    new_rep = np.where(reset, 0, norm.up[state.rep])
 
     served = z[server_of]  # z received, by client
     welfare = float((served * (state.bs - p.c)).sum() / N)
@@ -448,13 +451,15 @@ def bridge_occupancy(
 ) -> np.ndarray:
     """Per-census occupation counts of a long Monte Carlo run.
 
-    Runs the full engine (true permutation matching) and tallies how often
-    each census in ``space`` is visited after ``BRIDGE_BURN_IN`` periods, for
-    comparison with the exact kernel's stationary distribution.  ``stride``
-    thins the tally to every stride-th period, which decorrelates consecutive
-    samples.  The loop counts census tuples; each distinct census is located
-    in ``space`` once, after it.  Raises ValueError unless ``space`` fits the
-    norm, ``periods`` exceeds the burn-in and ``stride`` is positive.
+    Runs the full engine, whose matching is a shuffled permutation with its
+    fixed points repaired (not uniform over derangements), and tallies how
+    often each census in ``space`` is visited after ``BRIDGE_BURN_IN``
+    periods, for comparison with the exact kernel's stationary distribution.
+    ``stride`` thins the tally to every stride-th period, which decorrelates
+    consecutive samples.  The loop counts census tuples; each distinct census
+    is located in ``space`` once, after it.  Raises ValueError unless
+    ``space`` fits the norm, ``periods`` exceeds the burn-in and ``stride``
+    is positive.
     """
     if periods <= BRIDGE_BURN_IN:
         raise ValueError(

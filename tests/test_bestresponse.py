@@ -236,7 +236,9 @@ def test_action_spaces_share_one_serve_dtype():
     delta=st.floats(min_value=0.0, max_value=0.99),
     eps=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
     b=st.floats(min_value=1.05, max_value=10.0),
-    actions=st.sampled_from(["threshold", "shuffled thresholds", "subset"]),
+    actions=st.sampled_from(
+        ["threshold", "shuffled thresholds", "subset", "duplicated thresholds"]
+    ),
     adaptive=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -259,6 +261,8 @@ def test_batch_solver_matches_value_iteration_oracle(
         "threshold": None,
         "shuffled thresholds": rng.permutation(norm.serve),
         "subset": subset_serve(L),
+        # two rows serve each set, so ties between them go to the later row
+        "duplicated thresholds": np.vstack([norm.serve, norm.serve]),
     }[actions]
     policies, values, played, q, _ = solve_policy_batch(
         norm, etas, np.full(K, delta), serve=serve, belief_rows=beliefs
