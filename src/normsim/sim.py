@@ -35,8 +35,8 @@ BRIDGE_BURN_IN = 1000
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
 # the keys a spec owns; ``norm_from_dict`` parses every other key
 _RUN_KEYS = (
-    "mode", "periods", "sample_stride", "seed", "initial_reputation",
-    "groups", "b_mean", "b_var", "delta_grid",
+    "mode", "periods", "sample_stride", "seed", "groups", "b_mean", "b_var",
+    "delta_grid",
 )
 # the spec fields each mode requires; every other mode must leave them None
 _MODE_KEYS = {
@@ -50,16 +50,16 @@ _MODE_KEYS = {
 class ExperimentSpec:
     """Validated description of one simulation experiment: the social norm
     every user plays under (its params' delta is the community's own, a
-    placeholder in delta-sweep and mixed runs) and the run around it.  Every
-    value is checked on construction, so ``dataclasses.replace`` checks its
-    result as ``from_dict`` does."""
+    placeholder in delta-sweep and mixed runs) and the run around it.  It
+    holds no start: every run begins at ``initial_state``'s uniform draw.
+    Every value is checked on construction, so ``dataclasses.replace``
+    checks its result as ``from_dict`` does."""
 
     mode: str
     norm: SocialNorm
     periods: int
     sample_stride: int
     seed: int
-    initial_reputation: str = "uniform"
     groups: tuple[tuple[int, float], ...] | None = None  # (size, delta) pairs
     b_mean: float | None = None
     b_var: float | None = None
@@ -96,7 +96,6 @@ class ExperimentSpec:
             periods=config_number(doc["periods"], "periods", int),
             sample_stride=config_number(doc.get("sample_stride", 1000), "sample_stride", int),
             seed=config_number(doc.get("seed", 0), "seed", int),
-            initial_reputation=doc.get("initial_reputation", "uniform"),
             groups=groups,
             b_mean=config_number(doc["b_mean"], "b_mean") if "b_mean" in doc else None,
             b_var=config_number(doc["b_var"], "b_var") if "b_var" in doc else None,
@@ -113,9 +112,6 @@ class ExperimentSpec:
                         f"{mode} mode requires {key!r}" if mode == self.mode
                         else f"{key!r} is only valid in {mode} mode"
                     )
-        if self.initial_reputation not in ("uniform", "zeros"):
-            raise ConfigError("initial_reputation must be 'uniform' or 'zeros', "
-                              f"got {self.initial_reputation!r}")
         for name in ("periods", "sample_stride"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
@@ -185,20 +181,14 @@ def initial_state(
     norm: SocialNorm,
     rng: np.random.Generator,
     *,
-    initial_reputation: str = "uniform",
     deltas: np.ndarray | None = None,
     adaptive: bool = False,
 ) -> SimState:
-    """Fresh community: reputations drawn per the initial rule, strategies
-    compliant with the social rule, optional per-user belief matrices."""
+    """Fresh community: reputations drawn uniformly from 0..L (the run's
+    first draw from ``rng``), strategies compliant with the social rule,
+    optional per-user belief matrices."""
     p = norm.params
-    if initial_reputation == "uniform":
-        rep = rng.integers(0, p.L + 1, size=p.N)
-    elif initial_reputation == "zeros":
-        rep = np.zeros(p.N, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown initial rule {initial_reputation!r}")
-    rep = rep.astype(np.int64)
+    rep = rng.integers(0, p.L + 1, size=p.N)
     thr = norm.compliant[rep]
     if deltas is None:
         deltas = np.full(p.N, p.delta)
@@ -368,8 +358,7 @@ def run_evolution(spec: ExperimentSpec) -> tuple[list[PeriodMetrics], dict]:
     if spec.groups is not None:
         deltas = np.concatenate([np.full(size, d) for size, d in spec.groups])
     state = initial_state(
-        spec.norm, rng, initial_reputation=spec.initial_reputation, deltas=deltas,
-        adaptive=spec.mode == "adaptive-belief",
+        spec.norm, rng, deltas=deltas, adaptive=spec.mode == "adaptive-belief"
     )
     samples = [
         m for m in _trajectory(state, spec.norm, rng, spec.periods, spec)
@@ -469,7 +458,7 @@ def bridge_occupancy(
         raise ValueError(f"stride must be positive, got {stride}")
     space.check_fits(norm.params)
     rng = np.random.default_rng(seed)
-    state = initial_state(norm, rng, initial_reputation="uniform")
+    state = initial_state(norm, rng)
     visits = Counter(
         m.census for m in _trajectory(state, norm, rng, periods)
         if m.period > BRIDGE_BURN_IN and m.period % stride == 0

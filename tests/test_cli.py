@@ -117,6 +117,15 @@ def test_simulate_rejects_malformed_numbers(spec_file, tmp_path, overrides, caps
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_start_rule(spec_file, tmp_path, capsys):
+    # every run starts from the uniform draw; a start rule is an unknown key
+    doc = dict(json.loads(spec_file.read_text()), initial_reputation="zeros")
+    bad = tmp_path / "start.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", str(bad)]) == 2
+    assert "unknown config keys: ['initial_reputation']" in capsys.readouterr().err
+
+
 def test_simulate_rejects_negative_seed_flag(spec_file, capsys):
     assert main(["simulate", "--spec", str(spec_file), "--seed", "-1"]) == 2
     assert "configuration error" in capsys.readouterr().err

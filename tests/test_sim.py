@@ -115,7 +115,6 @@ def test_replaced_spec_is_checked_like_a_parsed_one():
         (evolution, {"periods": 0}),
         (evolution, {"sample_stride": 0}),
         (evolution, {"seed": -1}),
-        (evolution, {"initial_reputation": "ones"}),
     ]:
         with pytest.raises(ConfigError):
             replace(spec, **change)
@@ -176,11 +175,20 @@ def test_first_settled_matches_suffix_scan(inside):
     assert _first_settled(inside) == _first_settled_by_scan(inside)
 
 
+def _state_at_bottom(norm, **kwargs):
+    """A fresh state with every user at reputation 0, playing the rule's
+    threshold there; its uniform start is drawn from a stream of its own."""
+    state = initial_state(norm, np.random.default_rng(0), **kwargs)
+    state.rep[:] = 0
+    state.thr[:] = norm.compliant[0]
+    return state
+
+
 def test_full_cooperation_is_a_fixed_point():
     # error-free compliant community at the top: nothing moves, U = b - c
     norm = make_norm(N=12, epsilon=0.0)
     rng = np.random.default_rng(2)
-    state = initial_state(norm, rng, initial_reputation="zeros")
+    state = _state_at_bottom(norm)
     state.rep[:] = 3
     state.thr[:] = norm.h
     m = run_period(state, norm, rng)
@@ -192,7 +200,7 @@ def test_full_cooperation_is_a_fixed_point():
 def test_universal_defection_yields_zero_welfare():
     norm = make_norm(N=12, epsilon=0.0)
     rng = np.random.default_rng(3)
-    state = initial_state(norm, rng, initial_reputation="zeros")
+    state = _state_at_bottom(norm)
     state.thr[:] = 4
     m = run_period(state, norm, rng)
     assert m.social_welfare == 0.0
@@ -208,7 +216,7 @@ def test_reset_rate_matches_error_rate():
     resets = 0
     trials = 100
     for _ in range(trials):
-        state = initial_state(norm, rng, initial_reputation="zeros")
+        state = _state_at_bottom(norm)
         state.rep[:] = 3
         state.thr[:] = norm.h
         run_period(state, norm, rng)
@@ -232,7 +240,7 @@ def test_census_conservation_and_welfare_bounds():
 def test_adaptation_defects_against_empty_community():
     norm = make_norm(N=10, gamma=1.0, delta=0.3)
     rng = np.random.default_rng(6)
-    state = initial_state(norm, rng, initial_reputation="zeros")
+    state = _state_at_bottom(norm)
     run_adaptation(state, norm, rng)
     assert (state.thr == 4).all()
 
@@ -255,9 +263,10 @@ def test_table_keeps_each_norms_answers_apart():
 def _census_states(norm, deltas):
     """States at several censuses: all at the bottom, uniform, skewed up."""
     for seed in range(6):
-        init = "zeros" if seed == 0 else "uniform"
-        rng = np.random.default_rng(seed)
-        state = initial_state(norm, rng, initial_reputation=init, deltas=deltas)
+        if seed == 0:
+            state = _state_at_bottom(norm, deltas=deltas)
+        else:
+            state = initial_state(norm, np.random.default_rng(seed), deltas=deltas)
         state.rep[: seed % 3] = 3
         yield state
 
