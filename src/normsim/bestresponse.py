@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .norms import SocialNorm
+from .norms import ConfigError, SocialNorm
 from .payoff import model_arrays, opponent_of
 
 # Q-values closer than this are treated as exact ties when extracting the
@@ -29,6 +29,8 @@ POLICY_TIE_ATOL = 1e-9
 # solve_policy_batch raises once its policies have not settled in this many
 # rounds
 MAX_ROUNDS = 200
+# subset_serve refuses an L with more service sets than this (L <= 15)
+MAX_SUBSET_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,10 @@ class ClosedFormSolution:
 
 
 def subset_serve(L: int) -> np.ndarray:
-    """Serve matrix of all 2^(L+1) service sets, one float row per set."""
+    """Serve matrix of all 2^(L+1) service sets, one float row per set;
+    an L over ``MAX_SUBSET_ROWS`` raises ConfigError before it is built."""
+    if L + 1 > np.log2(MAX_SUBSET_ROWS):
+        raise ConfigError(f"L={L}: 2^{L + 1} service sets over the limit {MAX_SUBSET_ROWS}")
     return np.array(list(product((0.0, 1.0), repeat=L + 1)))
 
 

@@ -26,20 +26,26 @@ from pathlib import Path
 
 import numpy as np
 
+# SocialNorm refuses an L whose mismatch table has more entries (L <= 214)
+MAX_TABLE_ENTRIES = 10**7
+
 
 class ConfigError(ValueError):
     """Raised for invalid protocol parameters or malformed config documents."""
 
 
 def config_number(value, name: str, kind=float):
-    """Convert a config value with ``kind``; malformed, non-finite or (for
-    ``int``) fractional values raise ConfigError."""
+    """Convert a config value with ``kind``; booleans and malformed,
+    non-finite or (for ``int``) fractional values raise ConfigError."""
     message = f"{name} must be a finite {kind.__name__}, got {value!r}"
+    if isinstance(value, bool):
+        raise ConfigError(message)
     try:
         number = kind(value)
+        finite = math.isfinite(number)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(message) from exc
-    if not math.isfinite(number) or (isinstance(value, float) and value != number):
+    if not finite or (isinstance(value, float) and value != number):
         raise ConfigError(message)
     return number
 
@@ -90,7 +96,8 @@ class SocialNorm:
 
     h = 0 and h = L + 1 are rejected: a rule that treats every reputation
     identically cannot provide differential service and is unenforceable
-    among self-interested users.
+    among self-interested users.  So is an L whose mismatch table would
+    exceed ``MAX_TABLE_ENTRIES``, before any table is built.
 
     The rule's read-only tables, built once from ``params`` and ``h`` (they
     take no part in equality, hashing or ``dataclasses.replace``):
@@ -118,6 +125,9 @@ class SocialNorm:
         L, h = self.params.L, self.h
         if not 1 <= h <= L:
             raise ConfigError(f"h must be in [1, L={L}], got {h}")
+        if (L + 1) * (L + 2) * (L + 1) > MAX_TABLE_ENTRIES:
+            raise ConfigError(
+                f"L={L}: mismatch table entries over the limit {MAX_TABLE_ENTRIES}")
         rep = np.arange(L + 1)
 
         def own(name, table):

@@ -34,10 +34,8 @@ BENEFIT_MARGIN = 1e-6
 BRIDGE_BURN_IN = 1000
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
 # the keys a spec owns; ``norm_from_dict`` parses every other key
-_RUN_KEYS = (
-    "mode", "periods", "sample_stride", "seed", "groups", "b_mean", "b_var",
-    "delta_grid",
-)
+_RUN_KEYS = ("mode", "periods", "sample_stride", "seed", "groups", "b_mean", "b_var",
+             "delta_grid")
 # the spec fields each mode requires; every other mode must leave them None
 _MODE_KEYS = {
     "delta-sweep": ("delta_grid",),
@@ -178,18 +176,14 @@ class PeriodMetrics:
 
 
 def initial_state(
-    norm: SocialNorm,
-    rng: np.random.Generator,
-    *,
-    deltas: np.ndarray | None = None,
-    adaptive: bool = False,
+    norm: SocialNorm, rng: np.random.Generator, *,
+    deltas: np.ndarray | None = None, adaptive: bool = False,
 ) -> SimState:
     """Fresh community: reputations drawn uniformly from 0..L (the run's
     first draw from ``rng``), strategies compliant with the social rule,
     optional per-user belief matrices."""
     p = norm.params
     rep = rng.integers(0, p.L + 1, size=p.N)
-    thr = norm.compliant[rep]
     if deltas is None:
         deltas = np.full(p.N, p.delta)
     belief_rows = belief_counts = None
@@ -200,7 +194,7 @@ def initial_state(
         belief_counts = np.zeros((p.N, p.L + 1), dtype=np.int64)
     return SimState(
         rep=rep,
-        thr=thr,
+        thr=norm.compliant[rep],
         deltas=np.asarray(deltas, dtype=float),
         bs=np.full(p.N, p.b),
         belief_rows=belief_rows,

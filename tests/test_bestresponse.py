@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from normsim import (
     CommunityParams,
+    ConfigError,
     SocialNorm,
     best_response,
     closed_form_bimodal,
@@ -226,6 +228,20 @@ def test_action_spaces_share_one_serve_dtype():
     assert sub.dtype == norm.serve.dtype == float
     assert sub.shape == (16, 4)
     assert {tuple(row) for row in norm.serve} <= {tuple(row) for row in sub}
+
+
+def test_subset_action_space_over_budget_raises_before_building():
+    # 2^(L+1) rows: L = log2(budget) - 1 fills the budget, one more is over it
+    L = int(np.log2(bestresponse.MAX_SUBSET_ROWS))
+    assert subset_serve(L - 1).shape == (bestresponse.MAX_SUBSET_ROWS, L)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"limit {bestresponse.MAX_SUBSET_ROWS}"):
+            subset_serve(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 @settings(max_examples=200, deadline=None)

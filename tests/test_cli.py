@@ -5,7 +5,7 @@ import pytest
 
 from normsim import bestresponse
 from normsim.cli import _parse_counts, _parse_grid, main
-from normsim.norms import ConfigError
+from normsim.norms import MAX_TABLE_ENTRIES, ConfigError
 
 
 @pytest.fixture
@@ -101,11 +101,16 @@ def test_unreadable_input_is_a_configuration_error(tmp_path, command, flag, caps
         {"mode": "varying-b", "b_mean": 0.5, "b_var": 0, "c": 1},
         {"mode": "varying-b", "b_mean": 1, "b_var": 2, "c": 1},
         {"seed": -1},
+        {"periods": 10**401},
+        {"seed": 10**401},
+        {"sample_stride": True},
+        {"mode": "mixed", "groups": [{"size": True, "delta": 0.5}]},
     ],
     ids=[
         "N-text", "N-fraction", "b-inf", "periods-inf", "b_mean-inf", "b_var-nan",
         "delta_grid-text", "group-size-text", "group-not-object",
         "b_mean-below-c", "b_mean-at-c", "seed-negative",
+        "periods-huge", "seed-huge", "sample_stride-bool", "group-size-bool",
     ],
 )
 def test_simulate_rejects_malformed_numbers(spec_file, tmp_path, overrides, capsys):
@@ -269,6 +274,28 @@ def test_bestresponse_outputs_policy(norm_file, capsys):
         code = main(["bestresponse", "--config", str(norm_file), "--eta", eta])
         assert code == 2, eta
         assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, limit",
+    [
+        ({"N": 10**401}, [], "N must be a finite int"),
+        ({"h": True}, [], "h must be a finite int"),
+        ({"L": 2000}, [], f"limit {MAX_TABLE_ENTRIES}"),
+        ({"L": 25}, ["--action-space", "subset"], f"limit {bestresponse.MAX_SUBSET_ROWS}"),
+    ],
+    ids=["N-huge", "h-bool", "L-over-table-budget", "L-over-subset-budget"],
+)
+def test_bestresponse_refuses_huge_boolean_and_oversized_configs(
+    norm_file, tmp_path, overrides, flags, limit, capsys
+):
+    doc = dict(json.loads(norm_file.read_text()), **overrides)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    eta = ",".join(["5"] + ["0"] * doc["L"])
+    assert main(["bestresponse", "--config", str(bad), "--eta", eta, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and limit in err
 
 
 def test_bestresponse_solver_error_is_an_invariant_violation(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from normsim import (
     load_norm,
     norm_from_dict,
 )
+from normsim.norms import MAX_TABLE_ENTRIES
 from oracles import reputation_update, social_rule, strategy_serves
 
 
@@ -162,6 +164,33 @@ def test_norm_from_dict_rejects_unknown_and_missing():
         norm_from_dict({"N": 8, "L": 3, "b": 3, "c": 1, "delta": 0.5, "h": 1, "x": 0})
     with pytest.raises(ConfigError):
         norm_from_dict({"N": 8, "L": 3, "b": 3, "c": 1})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", 10**401), ("h", -(10**401)), ("h", True), ("gamma", True), ("b", False)],
+    ids=["N-huge", "h-huge", "h-bool", "gamma-bool", "b-bool"],
+)
+def test_norm_from_dict_rejects_huge_and_boolean_numbers(key, value):
+    # an integer too large for a float and a JSON boolean are no numbers
+    doc = {"N": 8, "L": 3, "b": 3, "c": 1, "delta": 0.5, "h": 1, key: value}
+    with pytest.raises(ConfigError, match=f"{key} must be a finite"):
+        norm_from_dict(doc)
+
+
+def test_norm_refuses_an_L_over_the_table_budget_before_building():
+    L = 1  # up to the smallest L whose (L+1, L+2, L+1) table is over the budget
+    while (L + 1) ** 2 * (L + 2) <= MAX_TABLE_ENTRIES:
+        L += 1
+    params = CommunityParams(N=10, L=L, b=3.0, c=1.0, delta=0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"limit {MAX_TABLE_ENTRIES}"):
+            SocialNorm(params=params, h=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the table alone would take 8 bytes an entry
 
 
 def test_load_norm(tmp_path):

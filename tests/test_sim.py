@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from normsim import (
     ExperimentSpec,
     SocialNorm,
     initial_state,
+    norm_from_dict,
     run_evolution,
     run_experiment,
     run_period,
@@ -20,6 +22,7 @@ from normsim import (
 from normsim import sim
 from normsim.bestresponse import solve_policy_batch
 from normsim.chain import enumerate_configs
+from normsim.norms import MAX_TABLE_ENTRIES
 from normsim.payoff import opponent_of
 from normsim.sim import (
     _best_thresholds, _derangement, _first_settled, _redraw_benefits, run_adaptation,
@@ -126,6 +129,70 @@ def test_replaced_spec_is_checked_like_a_parsed_one():
         replace(varying, b_var=-1.0)
     with pytest.raises(ConfigError):
         replace(varying, b_mean=1.0)
+
+
+# config values of every wrong kind: no value, booleans, text, NaN and
+# infinities, integers near and past the float range, and nested values
+_huge = st.integers(min_value=10**300, max_value=10**420)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True), _huge, _huge.map(lambda n: -n),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _or_junk(valid):
+    return st.one_of(valid, _junk)
+
+
+def _unit(high=0.99):
+    return st.floats(min_value=0.0, max_value=high)
+
+
+# L is small or over the norm's table budget, so no example builds a large table
+_config_docs = st.fixed_dictionaries(
+    {
+        "mode": _or_junk(st.sampled_from(sim.MODES)),
+        "N": _or_junk(st.integers(min_value=2, max_value=30)),
+        "L": _or_junk(st.one_of(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=math.ceil(MAX_TABLE_ENTRIES ** (1 / 3))),
+        )),
+        "b": _or_junk(st.floats(min_value=1.0, max_value=10.0)),
+        "c": _or_junk(st.just(1.0)),
+        "delta": _or_junk(_unit()),
+        "h": _or_junk(st.integers(min_value=0, max_value=5)),
+        "periods": _or_junk(st.integers(min_value=0, max_value=10**6)),
+    },
+    optional={
+        "epsilon": _or_junk(_unit(0.5)),
+        "gamma": _or_junk(_unit(1.0)),
+        "sample_stride": _or_junk(st.integers(min_value=0, max_value=100)),
+        "seed": _or_junk(st.integers(min_value=-1)),
+        "groups": _or_junk(st.lists(st.fixed_dictionaries(
+            {"size": _or_junk(st.integers(min_value=0, max_value=30)),
+             "delta": _or_junk(_unit(1.0))},
+        ), max_size=3)),
+        "b_mean": _or_junk(st.floats(min_value=0.0, max_value=10.0)),
+        "b_var": _or_junk(st.floats(min_value=-1.0, max_value=4.0)),
+        "delta_grid": _or_junk(st.lists(_or_junk(_unit(1.0)), max_size=3)),
+        "initial_reputation": _junk,
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_config_docs)
+def test_config_documents_parse_or_raise_config_error(doc):
+    # a configuration document of any shape is parsed or refused with
+    # ConfigError (exit 2), never with another exception
+    norm_doc = {k: v for k, v in doc.items() if k not in sim._RUN_KEYS}
+    for parse, arg in ((norm_from_dict, norm_doc), (ExperimentSpec.from_dict, doc)):
+        try:
+            parse(arg)
+        except ConfigError:
+            pass
 
 
 def test_derangement_has_no_self_matches():
