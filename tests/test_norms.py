@@ -172,7 +172,7 @@ def test_norm_from_dict_rejects_unknown_and_missing():
     ids=["N-huge", "h-huge", "h-bool", "gamma-bool", "b-bool"],
 )
 def test_norm_from_dict_rejects_huge_and_boolean_numbers(key, value):
-    # an integer too large for a float and a JSON boolean are no numbers
+    # an integer too large for a float and a JSON boolean are not numbers
     doc = {"N": 8, "L": 3, "b": 3, "c": 1, "delta": 0.5, "h": 1, key: value}
     with pytest.raises(ConfigError, match=f"{key} must be a finite"):
         norm_from_dict(doc)
