@@ -28,7 +28,14 @@ from .bestresponse import (
     closed_form_bimodal,
     subset_serve,
 )
-from .norms import CommunityParams, ConfigError, SocialNorm, config_number, load_norm
+from .norms import (
+    CommunityParams,
+    ConfigError,
+    SocialNorm,
+    config_number,
+    load_document,
+    load_norm,
+)
 from .payoff import model_arrays
 from .sim import ExperimentSpec, bridge_occupancy, run_experiment
 
@@ -44,6 +51,15 @@ def _parse_grid(text: str) -> list[float]:
     return [float(v) for v in np.arange(start, stop + step / 2, step)]
 
 
+def _parse_ladder(text: str) -> list[float]:
+    """Parse a comma-separated error ladder; each entry a finite float."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"eps ladder must be comma-separated numbers, got {text!r}") from exc
+    return [config_number(v, "eps-ladder entry") for v in values]
+
+
 def _parse_counts(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -52,9 +68,7 @@ def _parse_counts(text: str) -> tuple[int, ...]:
 
 
 def _cmd_simulate(args) -> int:
-    doc = json.loads(Path(args.spec).read_text())
-    if not isinstance(doc, dict):
-        raise ConfigError("experiment spec must be a JSON object")
+    doc = load_document(args.spec, "experiment spec")
     if args.seed is not None:
         doc["seed"] = args.seed
     spec = ExperimentSpec.from_dict(doc)
@@ -72,8 +86,7 @@ def _cmd_chain(args) -> int:
         norm = SocialNorm(params=dataclasses.replace(p, N=N), h=norm.h)
     space = chain_mod.enumerate_configs(N, norm.L)
     ladder = (
-        [config_number(e, "eps-ladder entry") for e in args.eps_ladder.split(",")]
-        if args.eps_ladder
+        _parse_ladder(args.eps_ladder) if args.eps_ladder
         else list(chain_mod.DEFAULT_EPS_LADDER)
     )
     result = chain_mod.limiting_distribution(norm, space, ladder)
@@ -261,7 +274,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # UnicodeDecodeError is a ValueError, so it must be caught first
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

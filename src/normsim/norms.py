@@ -35,10 +35,11 @@ class ConfigError(ValueError):
 
 
 def config_number(value, name: str, kind=float):
-    """Convert a config value with ``kind``; booleans and malformed,
-    non-finite or (for ``int``) fractional values raise ConfigError."""
+    """Convert a config value with ``kind``; booleans, strings (a quoted
+    number too) and malformed, non-finite or (for ``int``) fractional values
+    raise ConfigError."""
     message = f"{name} must be a finite {kind.__name__}, got {value!r}"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ConfigError(message)
     try:
         number = kind(value)
@@ -176,10 +177,24 @@ def norm_from_dict(doc: dict) -> SocialNorm:
     return SocialNorm(params=params, h=config_number(doc["h"], "h", int))
 
 
+def load_document(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``, which ``what`` names in
+    errors.  Malformed JSON, an integer literal of more digits than Python
+    converts (``sys.get_int_max_str_digits()``), nesting deeper than the
+    parser recurses and a document that is not an object raise
+    ConfigError."""
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+    # a JSONDecodeError, the digit limit's plain ValueError, or the nesting's
+    # RecursionError: each raised by the parse alone
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
+
+
 def load_norm(path: str | Path) -> SocialNorm:
     """Load a SocialNorm from a JSON document on disk."""
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return norm_from_dict(doc)
+    return norm_from_dict(load_document(path, "config document"))

@@ -7,9 +7,12 @@ its best response with the adaptation probability gamma against the posted
 census, which the engine reads from the users' reputations.  Supports
 heterogeneous discount groups, per-period random benefits, and adaptive
 belief matrices learned from own transactions.  One period loop plays every
-trajectory: ``run_evolution`` samples it at the spec's own delta and seed
-(a delta sweep runs the spec with each grid delta in place of its own), and
-``bridge_occupancy`` tallies it.
+trajectory, and it plays R replicates of a community in lockstep, each
+drawing from its own generator: every period it adapts all of them at once,
+so the strategy-table misses of every replicate go to one solver call, then
+plays each replicate's period.  ``run_evolution`` plays the spec's own delta
+and seed (R = 1), a delta sweep plays its grid points as R replicates, and
+``bridge_occupancy`` tallies an R = 1 trajectory.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ SCHEMA_VERSION = 1
 BENEFIT_MARGIN = 1e-6
 # bridge_occupancy tallies only the periods after this one
 BRIDGE_BURN_IN = 1000
+# initial_state refuses a state of more entries, counted over every replicate:
+# four per user, and (L+1)(L+3) more for a user's belief rows and counters
+MAX_STATE_ENTRIES = 10**8
 MODES = ("evolution", "delta-sweep", "mixed", "varying-b", "adaptive-belief")
 # the keys a spec owns; ``norm_from_dict`` parses every other key
 _RUN_KEYS = ("mode", "periods", "sample_stride", "seed", "groups", "b_mean", "b_var",
@@ -145,26 +151,43 @@ class ExperimentSpec:
 
 @dataclass
 class SimState:
-    """Mutable community state of one run: one entry per user in each array,
-    and ``table``, which maps (norm, census, delta) to the thresholds solved
-    for each occupied reputation under the baseline belief and the norm's
-    benefit (see ``run_adaptation``).  An entry is a pure function of its
-    key, so states may share one table whatever their norms."""
+    """Mutable state of R replicate communities of N users each, played in
+    lockstep: each per-user array holds R·N entries, replicate r's users at
+    r·N to (r+1)·N - 1.  ``table`` maps (norm, census, delta) to the
+    thresholds solved for each occupied reputation under the baseline belief
+    and the norm's benefit (see ``run_adaptation``).  An entry is a pure
+    function of its key, so the replicates, and states, may share one table
+    whatever their norms."""
 
     rep: np.ndarray  # current reputations
     thr: np.ndarray  # current service thresholds
     deltas: np.ndarray  # personal discount factors
     bs: np.ndarray  # personal per-period benefit values
-    belief_rows: np.ndarray | None = None  # (N, L+1, L+2) when adaptive
-    belief_counts: np.ndarray | None = None  # (N, L+1) transaction counters
+    belief_rows: np.ndarray | None = None  # (R·N, L+1, L+2) when adaptive
+    belief_counts: np.ndarray | None = None  # (R·N, L+1) transaction counters
     table: dict = field(default_factory=dict)
+    replicates: int = 1
 
     @property
     def N(self) -> int:
-        return self.rep.shape[0]
+        """Users per replicate."""
+        return self.rep.shape[0] // self.replicates
 
     def census(self, L: int) -> np.ndarray:
-        return np.bincount(self.rep, minlength=L + 1)
+        """(R, L+1) counts of each replicate's users at each reputation."""
+        R = self.replicates
+        keys = self.rep
+        if R > 1:  # replicate r's reputations count from r·(L+1) on
+            keys = (keys.reshape(R, -1) + (L + 1) * np.arange(R)[:, None]).ravel()
+        return np.bincount(keys, minlength=R * (L + 1)).reshape(R, L + 1)
+
+    def replicate(self, r: int) -> "SimState":
+        """Replicate r as a one-replicate state: its arrays are views into
+        this state's, and its table is this state's."""
+        part = slice(r * self.N, (r + 1) * self.N)
+        rows = [None if a is None else a[part] for a in (self.belief_rows, self.belief_counts)]
+        return SimState(self.rep[part], self.thr[part], self.deltas[part], self.bs[part],
+                        *rows, table=self.table)
 
 
 @dataclass(frozen=True)
@@ -175,30 +198,35 @@ class PeriodMetrics:
     services_rendered: int
 
 
-def initial_state(
-    norm: SocialNorm, rng: np.random.Generator, *,
-    deltas: np.ndarray | None = None, adaptive: bool = False,
-) -> SimState:
-    """Fresh community: reputations drawn uniformly from 0..L (the run's
-    first draw from ``rng``), strategies compliant with the social rule,
-    optional per-user belief matrices."""
+def initial_state(norm: SocialNorm, rngs, *, adaptive: bool = False) -> SimState:
+    """Fresh state of one replicate per generator in ``rngs``: each one's
+    reputations drawn uniformly from 0..L (the first draw from its
+    generator), every user at the norm's delta and benefit and playing the
+    social rule's threshold, optional per-user belief matrices.  A state of
+    more than ``MAX_STATE_ENTRIES`` entries raises ConfigError before
+    anything is allocated."""
     p = norm.params
-    rep = rng.integers(0, p.L + 1, size=p.N)
-    if deltas is None:
-        deltas = np.full(p.N, p.delta)
+    R = len(rngs)
+    entries = R * p.N * (4 + ((p.L + 1) * (p.L + 3) if adaptive else 0))
+    if entries > MAX_STATE_ENTRIES:
+        raise ConfigError(
+            f"{R} replicate(s) of N={p.N} users need {entries} state entries, "
+            f"over the limit {MAX_STATE_ENTRIES}")
+    rep = np.concatenate([rng.integers(0, p.L + 1, size=p.N) for rng in rngs])
     belief_rows = belief_counts = None
     if adaptive:
         # every opponent believed to comply with the social rule
         row = np.eye(p.L + 2)[norm.compliant]
-        belief_rows = np.broadcast_to(row, (p.N, p.L + 1, p.L + 2)).copy()
-        belief_counts = np.zeros((p.N, p.L + 1), dtype=np.int64)
+        belief_rows = np.broadcast_to(row, (rep.size, p.L + 1, p.L + 2)).copy()
+        belief_counts = np.zeros((rep.size, p.L + 1), dtype=np.int64)
     return SimState(
         rep=rep,
         thr=norm.compliant[rep],
-        deltas=np.asarray(deltas, dtype=float),
-        bs=np.full(p.N, p.b),
+        deltas=np.full(rep.size, p.delta),
+        bs=np.full(rep.size, p.b),
         belief_rows=belief_rows,
         belief_counts=belief_counts,
+        replicates=R,
     )
 
 
@@ -221,7 +249,8 @@ def _derangement(rng: np.random.Generator, N: int) -> np.ndarray:
 def run_period(
     state: SimState, norm: SocialNorm, rng: np.random.Generator, period: int = 0
 ) -> PeriodMetrics:
-    """Play one period in place: match, serve, report, update reputations.
+    """Play one period of a one-replicate state in place: match, serve,
+    report, update reputations.
 
     Each server serves by ``norm.serve`` at its threshold, and its reputation
     resets to 0 where ``norm.mismatch`` and the report flip disagree: a
@@ -231,6 +260,8 @@ def run_period(
     """
     p = norm.params
     N = state.N
+    if state.replicates != 1:
+        raise ValueError("run_period plays one replicate; pass state.replicate(r)")
     if N < 2:
         raise ValueError("a community needs at least 2 users")
     server_of = _derangement(rng, N)  # server_of[i] serves client i
@@ -250,10 +281,10 @@ def run_period(
     if state.belief_rows is not None:
         _observe_batch(state, server_of, served)
 
-    state.rep = new_rep
+    state.rep[:] = new_rep
     return PeriodMetrics(
         period=period,
-        census=tuple(state.census(p.L).tolist()),
+        census=tuple(np.bincount(new_rep, minlength=p.L + 1).tolist()),
         social_welfare=welfare,
         services_rendered=services,
     )
@@ -271,52 +302,84 @@ def _observe_batch(state, server_of, served) -> None:
 
 
 def _best_thresholds(norm, mu_counts, reps, deltas, *, bs=None, belief_rows=None):
-    """Thresholds played at reputations ``reps``, each solved against the
-    census with that user removed."""
+    """Thresholds played at reputations ``reps``, each solved against its
+    census (one shared, or a row each) with that user removed."""
     policies = solve_policy_batch(
         norm, opponent_of(mu_counts, reps), deltas, bs=bs, belief_rows=belief_rows
     )[0]
     return policies[np.arange(reps.size), reps]
 
 
-def run_adaptation(state: SimState, norm: SocialNorm, rng: np.random.Generator) -> None:
-    """Each user recomputes its best response with probability gamma.
+def run_adaptation(state: SimState, norm: SocialNorm, rngs) -> None:
+    """Each user recomputes its best response with probability gamma, drawn
+    from its replicate's generator in ``rngs``.
 
-    The best response is solved against the posted census (the L+1 counts of
-    every user's current reputation in ``state.rep``) with the user itself
-    removed, at the user's personal discount factor and benefit, and with its
-    own belief matrix when it maintains one.  The user's new threshold is the
-    policy entry at its current reputation.
+    The best response is solved against the posted census of the user's
+    replicate (the L+1 counts of its users' current reputations in
+    ``state.rep``) with the user itself removed, at the user's personal
+    discount factor and benefit, and with its own belief matrix when it
+    maintains one.  The user's new threshold is the policy entry at its
+    current reputation.
 
     While no user keeps a belief matrix and every benefit is the norm's, a
-    user's answer depends only on the norm, the census and its delta, so it
-    is read from ``state.table``, solved for every occupied reputation on a
-    miss.
-    Otherwise each adapter is solved on its own row and the table is left
-    alone.
+    user's answer depends only on the norm, its replicate's census and its
+    delta, so it is read from ``state.table``.  The entries that the
+    period's adapters miss, over every replicate, are solved in one batch,
+    one row per occupied reputation of each missing census.
+    Otherwise every adapter is solved on its own row, again in one batch,
+    and the table is left alone.
     """
-    adapt = np.flatnonzero(rng.random(state.N) < norm.params.gamma)
+    N, L = state.N, norm.params.L
+    coins = np.concatenate([rng.random(N) for rng in rngs])
+    adapt = np.flatnonzero(coins < norm.params.gamma)
     if adapt.size == 0:
         return
-    mu = state.census(norm.params.L)
+    mu = state.census(L)
     reps, deltas = state.rep[adapt], state.deltas[adapt]
     if state.belief_rows is not None or (state.bs != norm.params.b).any():
         beliefs = None if state.belief_rows is None else state.belief_rows[adapt]
         state.thr[adapt] = _best_thresholds(
-            norm, mu, reps, deltas, bs=state.bs[adapt], belief_rows=beliefs
+            norm, mu[adapt // N], reps, deltas, bs=state.bs[adapt], belief_rows=beliefs
         )
         return
-    occupied = np.flatnonzero(mu)
-    census = tuple(mu.tolist())
-    for delta in np.unique(deltas):
-        key = (norm, census, delta)
-        thr = state.table.get(key)
-        if thr is None:
-            thr = np.zeros_like(mu)
-            thr[occupied] = _best_thresholds(norm, mu, occupied, delta)
-            state.table[key] = thr
-        sel = deltas == delta
-        state.thr[adapt[sel]] = thr[reps[sel]]
+    # one table entry per (replicate, delta) pair g = r·V + (delta's rank);
+    # a lone pair, the usual single run, needs no grouping
+    values = np.unique(deltas)
+    V = values.size
+    if state.replicates * V == 1:
+        member, pairs = 0, [0]
+    else:
+        member = adapt // N * V + values.searchsorted(deltas)
+        pairs = np.flatnonzero(np.bincount(member)).tolist()
+    censuses = [tuple(row) for row in mu.tolist()]
+    rows = np.zeros((state.replicates * V, L + 1), dtype=state.thr.dtype)
+    missing = {}  # missing key -> the pairs that read it
+    for g in pairs:
+        key = (norm, censuses[g // V], values[g % V])
+        entry = state.table.get(key)
+        if entry is None:
+            missing.setdefault(key, []).append(g)
+        else:
+            rows[g] = entry
+    if missing:
+        solved = _solve_entries(
+            norm, mu[[readers[0] // V for readers in missing.values()]],
+            [delta for _, _, delta in missing],
+        )
+        for (key, readers), entry in zip(missing.items(), solved):
+            state.table[key] = rows[readers] = entry
+    state.thr[adapt] = rows[member, reps]
+
+
+def _solve_entries(norm, censuses, deltas) -> np.ndarray:
+    """Thresholds at every occupied reputation of each census row, at that
+    row's delta, solved in one batch; 0 at the unoccupied ones."""
+    row_of, reps = np.nonzero(censuses)
+    entries = np.zeros_like(censuses)
+    entries[row_of, reps] = _best_thresholds(
+        norm, censuses[row_of], reps, np.asarray(deltas)[row_of]
+    )
+    return entries
 
 
 def _redraw_benefits(state, spec, rng) -> None:
@@ -329,37 +392,61 @@ def _redraw_benefits(state, spec, rng) -> None:
         if not bad.any():
             break
         draws[bad] = rng.normal(spec.b_mean, sd, size=int(bad.sum()))
-    state.bs = draws
+    state.bs[:] = draws
 
 
-def _trajectory(state, norm, rng, periods, spec=None):
-    """Play ``periods`` periods in place, yielding each one's metrics: redraw
-    the benefits (a varying-b ``spec`` only), adapt, then play."""
+def _trajectory(state, norm, rngs, periods, spec=None):
+    """Play ``periods`` periods of every replicate in lockstep, in place,
+    yielding each period's metrics, one per replicate: redraw the benefits
+    (a varying-b ``spec`` only), adapt every replicate at once, then play
+    each one's period.  Replicate r draws from ``rngs[r]`` alone."""
+    replicas = [state.replicate(r) for r in range(state.replicates)]
     redraw = spec is not None and spec.mode == "varying-b"
     for period in range(1, periods + 1):
         if redraw:
-            _redraw_benefits(state, spec, rng)
-        run_adaptation(state, norm, rng)
-        yield run_period(state, norm, rng, period)
+            for one, rng in zip(replicas, rngs):
+                _redraw_benefits(one, spec, rng)
+        run_adaptation(state, norm, rngs)
+        yield [run_period(one, norm, rng, period) for one, rng in zip(replicas, rngs)]
 
 
-def run_evolution(spec: ExperimentSpec) -> tuple[list[PeriodMetrics], dict]:
-    """Run one full trajectory at the spec's own delta and seed and return
-    sampled metrics plus a summary.  Another delta or seed is another spec:
-    ``dataclasses.replace(spec, seed=s)``."""
-    rng = np.random.default_rng(spec.seed)
-    deltas = None
-    if spec.groups is not None:
-        deltas = np.concatenate([np.full(size, d) for size, d in spec.groups])
-    state = initial_state(
-        spec.norm, rng, deltas=deltas, adaptive=spec.mode == "adaptive-belief"
-    )
-    samples = [
-        m for m in _trajectory(state, spec.norm, rng, spec.periods, spec)
-        if m.period % spec.sample_stride == 0 or m.period == spec.periods
-    ]
-    summary = _summarize(spec, state, samples)
-    return samples, summary
+def _play(spec: ExperimentSpec, grid=(None,)) -> list[tuple[SimState, list[PeriodMetrics]]]:
+    """Play one replicate of ``spec`` per entry of ``grid`` in lockstep, and
+    return each one's final state and sampled metrics.
+
+    Every replicate starts from its own generator seeded with the spec's
+    seed.  Replicate r plays at the personal discount factor ``grid[r]``,
+    or, where that is None, at the spec's own: its groups' or its norm's.
+    The norm is the spec's throughout, so in a delta sweep the table keys
+    hold the grid delta beside the norm's placeholder one.
+    """
+    rngs = [np.random.default_rng(spec.seed) for _ in grid]
+    state = initial_state(spec.norm, rngs, adaptive=spec.mode == "adaptive-belief")
+    replicas = [state.replicate(r) for r in range(len(grid))]
+    for one, delta in zip(replicas, grid):
+        if delta is not None:
+            one.deltas[:] = delta
+        elif spec.groups is not None:
+            sizes, group_deltas = zip(*spec.groups)
+            one.deltas[:] = np.repeat(group_deltas, sizes)
+    samples = [[] for _ in grid]
+    for metrics in _trajectory(state, spec.norm, rngs, spec.periods, spec):
+        period = metrics[0].period
+        if period % spec.sample_stride == 0 or period == spec.periods:
+            for kept, m in zip(samples, metrics):
+                kept.append(m)
+    return list(zip(replicas, samples))
+
+
+def run_evolution(spec: ExperimentSpec, played=None) -> tuple[list[PeriodMetrics], dict]:
+    """Sampled metrics plus a summary of one trajectory at the spec's own
+    delta and seed.  By default the spec is played alone, the R = 1 case of
+    the lockstep loop; ``run_experiment`` passes each delta-sweep point the
+    ``played`` (final state, samples) pair of its replicate in ``_play``.
+    Another delta or seed is another spec: ``dataclasses.replace(spec,
+    seed=s)``."""
+    state, samples = played if played is not None else _play(spec)[0]
+    return samples, _summarize(spec, state, samples)
 
 
 def _first_settled(inside: np.ndarray) -> int | None:
@@ -401,16 +488,20 @@ def _summarize(spec, state, samples) -> dict:
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> dict:
     """Run the experiment described by ``spec``; optionally write artifacts.
 
-    Writes ``timeseries.csv`` (one per sweep point for delta sweeps) and
+    A delta sweep plays its grid points in lockstep, each from a generator
+    seeded with the spec's seed, so each point's summary and samples are
+    ``run_evolution``'s on the spec with that delta.  Writes
+    ``timeseries.csv`` (one per sweep point for delta sweeps) and
     ``summary.json`` when ``out_dir`` is given.  Deterministic given the
     spec's seed.
     """
+    grid = spec.delta_grid or (None,)
     runs = []
-    for d in spec.delta_grid or (None,):
+    for d, played in zip(grid, _play(spec, grid)):
         point = spec if d is None else replace(
             spec, norm=replace(spec.norm, params=replace(spec.norm.params, delta=d))
         )
-        samples, summary = run_evolution(point)
+        samples, summary = run_evolution(point, played)
         if d is not None:
             summary["delta"] = d
         runs.append((_timeseries_name(d), samples, summary))
@@ -452,9 +543,8 @@ def bridge_occupancy(
         raise ValueError(f"stride must be positive, got {stride}")
     space.check_fits(norm.params)
     rng = np.random.default_rng(seed)
-    state = initial_state(norm, rng)
     visits = Counter(
-        m.census for m in _trajectory(state, norm, rng, periods)
+        m.census for (m,) in _trajectory(initial_state(norm, [rng]), norm, [rng], periods)
         if m.period > BRIDGE_BURN_IN and m.period % stride == 0
     )
     counts = np.zeros(len(space), dtype=np.int64)

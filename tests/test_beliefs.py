@@ -13,7 +13,7 @@ def make_norm(h=2, L=3):
 
 def test_compliant_initialization():
     norm = make_norm(h=2)
-    state = initial_state(norm, np.random.default_rng(0), adaptive=True)
+    state = initial_state(norm, [np.random.default_rng(0)], adaptive=True)
     expected = np.zeros((4, 5))
     expected[0, 0] = expected[1, 0] = 1.0  # bad opponents serve everyone
     expected[2, 2] = expected[3, 2] = 1.0  # good opponents serve the good

@@ -1,9 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normsim import bestresponse
+from documents import config_documents, spec_documents
+from normsim import bestresponse, sim
 from normsim.cli import _parse_counts, _parse_grid, main
 from normsim.norms import MAX_TABLE_ENTRIES, ConfigError
 
@@ -129,6 +134,56 @@ def test_simulate_rejects_a_start_rule(spec_file, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["simulate", "--spec", str(bad)]) == 2
     assert "unknown config keys: ['initial_reputation']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["simulate", "--spec"], "spec_file"),
+    (["bestresponse", "--eta", "5,0,0,0", "--config"], "norm_file"),
+])
+def test_unparsable_json_values_are_configuration_errors(
+    request, tmp_path, argv, document, capsys
+):
+    # json raises a plain ValueError, not a JSONDecodeError, for an integer
+    # of more digits than Python converts (4300 by default), and a
+    # RecursionError for nesting deeper than it recurses
+    doc = json.loads(request.getfixturevalue(document).read_text())
+    text = json.dumps(dict(doc, N=0))
+    for value in ("9" * 5000, "[" * 100_000 + "]" * 100_000):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"N": 0', '"N": ' + value))
+        assert main([*argv, str(bad)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_community_over_the_state_budget(spec_file, tmp_path, capsys):
+    doc = dict(json.loads(spec_file.read_text()), N=10**12)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"limit {sim.MAX_STATE_ENTRIES}" in err
+
+
+def _eta_for(doc) -> str:
+    """A census of N-1 users at reputation 0 where N and L are small ints."""
+    N, L = doc.get("N"), doc.get("L")
+    if all(type(x) is int for x in (N, L)) and 2 <= N <= 30 and 1 <= L <= 4:
+        return ",".join([str(N - 1)] + ["0"] * L)
+    return "1,0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(spec_documents(), config_documents(max_N=30, max_periods=40)))
+def test_cli_runs_or_refuses_any_document(doc):
+    # simulate on the document as a spec, bestresponse on its norm keys as a
+    # config: each exits 0 or 2 and raises nothing
+    norm_doc = {k: v for k, v in doc.items() if k not in sim._RUN_KEYS}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, config = Path(tmp) / "spec.json", Path(tmp) / "config.json"
+        spec.write_text(json.dumps(doc))
+        config.write_text(json.dumps(norm_doc))
+        assert main(["simulate", "--spec", str(spec)]) in (0, 2)
+        assert main(["bestresponse", "--config", str(config), "--eta", _eta_for(doc)]) in (0, 2)
 
 
 def test_simulate_rejects_negative_seed_flag(spec_file, capsys):

@@ -178,6 +178,14 @@ def test_norm_from_dict_rejects_huge_and_boolean_numbers(key, value):
         norm_from_dict(doc)
 
 
+@pytest.mark.parametrize("key, value", [("N", "20"), ("delta", "0.5"), ("h", "1")])
+def test_norm_from_dict_rejects_quoted_numbers(key, value):
+    # a JSON string is not a number, whatever it spells
+    doc = {"N": 8, "L": 3, "b": 3, "c": 1, "delta": 0.5, "h": 1, key: value}
+    with pytest.raises(ConfigError, match=f"{key} must be a finite"):
+        norm_from_dict(doc)
+
+
 def test_norm_refuses_an_L_over_the_table_budget_before_building():
     L = 1  # up to the smallest L whose (L+1, L+2, L+1) table is over the budget
     while (L + 1) ** 2 * (L + 2) <= MAX_TABLE_ENTRIES:

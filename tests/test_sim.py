@@ -1,5 +1,6 @@
 import json
-import math
+import tempfile
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -22,11 +23,11 @@ from normsim import (
 from normsim import sim
 from normsim.bestresponse import solve_policy_batch
 from normsim.chain import enumerate_configs
-from normsim.norms import MAX_TABLE_ENTRIES
 from normsim.payoff import opponent_of
 from normsim.sim import (
     _best_thresholds, _derangement, _first_settled, _redraw_benefits, run_adaptation,
 )
+from documents import config_documents
 from oracles import reputation_update, strategy_serves
 
 
@@ -131,68 +132,20 @@ def test_replaced_spec_is_checked_like_a_parsed_one():
         replace(varying, b_mean=1.0)
 
 
-# config values of every wrong kind: no value, booleans, text, NaN and
-# infinities, integers near and past the float range, and nested values
-_huge = st.integers(min_value=10**300, max_value=10**420)
-_junk = st.one_of(
-    st.none(), st.booleans(), st.text(max_size=4),
-    st.floats(allow_nan=True, allow_infinity=True), _huge, _huge.map(lambda n: -n),
-    st.lists(st.integers(), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
-)
-
-
-def _or_junk(valid):
-    return st.one_of(valid, _junk)
-
-
-def _unit(high=0.99):
-    return st.floats(min_value=0.0, max_value=high)
-
-
-# L is small or over the norm's table budget, so no example builds a large table
-_config_docs = st.fixed_dictionaries(
-    {
-        "mode": _or_junk(st.sampled_from(sim.MODES)),
-        "N": _or_junk(st.integers(min_value=2, max_value=30)),
-        "L": _or_junk(st.one_of(
-            st.integers(min_value=1, max_value=4),
-            st.integers(min_value=math.ceil(MAX_TABLE_ENTRIES ** (1 / 3))),
-        )),
-        "b": _or_junk(st.floats(min_value=1.0, max_value=10.0)),
-        "c": _or_junk(st.just(1.0)),
-        "delta": _or_junk(_unit()),
-        "h": _or_junk(st.integers(min_value=0, max_value=5)),
-        "periods": _or_junk(st.integers(min_value=0, max_value=10**6)),
-    },
-    optional={
-        "epsilon": _or_junk(_unit(0.5)),
-        "gamma": _or_junk(_unit(1.0)),
-        "sample_stride": _or_junk(st.integers(min_value=0, max_value=100)),
-        "seed": _or_junk(st.integers(min_value=-1)),
-        "groups": _or_junk(st.lists(st.fixed_dictionaries(
-            {"size": _or_junk(st.integers(min_value=0, max_value=30)),
-             "delta": _or_junk(_unit(1.0))},
-        ), max_size=3)),
-        "b_mean": _or_junk(st.floats(min_value=0.0, max_value=10.0)),
-        "b_var": _or_junk(st.floats(min_value=-1.0, max_value=4.0)),
-        "delta_grid": _or_junk(st.lists(_or_junk(_unit(1.0)), max_size=3)),
-        "initial_reputation": _junk,
-    },
-)
-
-
 @settings(max_examples=400, deadline=None)
-@given(_config_docs)
+@given(config_documents())
 def test_config_documents_parse_or_raise_config_error(doc):
-    # a configuration document of any shape is parsed or refused with
-    # ConfigError (exit 2), never with another exception
+    # a configuration document of any shape, quoted numbers included, is
+    # parsed or refused with ConfigError (exit 2), never with another
+    # exception
     norm_doc = {k: v for k, v in doc.items() if k not in sim._RUN_KEYS}
     for parse, arg in ((norm_from_dict, norm_doc), (ExperimentSpec.from_dict, doc)):
         try:
             parse(arg)
         except ConfigError:
-            pass
+            continue
+        # what parses holds no quoted number
+        assert not any(isinstance(v, str) for k, v in arg.items() if k != "mode")
 
 
 def test_derangement_has_no_self_matches():
@@ -242,10 +195,10 @@ def test_first_settled_matches_suffix_scan(inside):
     assert _first_settled(inside) == _first_settled_by_scan(inside)
 
 
-def _state_at_bottom(norm, **kwargs):
+def _state_at_bottom(norm):
     """A fresh state with every user at reputation 0, playing the rule's
     threshold there; its uniform start is drawn from a stream of its own."""
-    state = initial_state(norm, np.random.default_rng(0), **kwargs)
+    state = initial_state(norm, [np.random.default_rng(0)])
     state.rep[:] = 0
     state.thr[:] = norm.compliant[0]
     return state
@@ -296,7 +249,7 @@ def test_reset_rate_matches_error_rate():
 def test_census_conservation_and_welfare_bounds():
     norm = make_norm(N=30, epsilon=0.2, delta=0.5)
     rng = np.random.default_rng(5)
-    state = initial_state(norm, rng)
+    state = initial_state(norm, [rng])
     for period in range(200):
         m = run_period(state, norm, rng, period)
         assert sum(m.census) == 30
@@ -308,7 +261,7 @@ def test_adaptation_defects_against_empty_community():
     norm = make_norm(N=10, gamma=1.0, delta=0.3)
     rng = np.random.default_rng(6)
     state = _state_at_bottom(norm)
-    run_adaptation(state, norm, rng)
+    run_adaptation(state, norm, [rng])
     assert (state.thr == 4).all()
 
 
@@ -316,12 +269,12 @@ def test_table_keeps_each_norms_answers_apart():
     # a state adapted under one error rate and then under another answers as
     # a fresh state under the second does: the table's key holds the norm
     low, high = make_norm(N=12, epsilon=0.05), make_norm(N=12, epsilon=0.3)
-    state = initial_state(low, np.random.default_rng(0))
-    fresh = initial_state(high, np.random.default_rng(0))
-    run_adaptation(state, low, np.random.default_rng(1))
+    state = initial_state(low, [np.random.default_rng(0)])
+    fresh = initial_state(high, [np.random.default_rng(0)])
+    run_adaptation(state, low, [np.random.default_rng(1)])
     assert (state.thr != 4).any()
-    run_adaptation(state, high, np.random.default_rng(1))
-    run_adaptation(fresh, high, np.random.default_rng(1))
+    run_adaptation(state, high, [np.random.default_rng(1)])
+    run_adaptation(fresh, high, [np.random.default_rng(1)])
     assert (state.rep == fresh.rep).all()
     assert state.thr.tolist() == fresh.thr.tolist() == [4] * 12
     assert {key[0] for key in state.table} == {low, high}
@@ -331,15 +284,17 @@ def _census_states(norm, deltas):
     """States at several censuses: all at the bottom, uniform, skewed up."""
     for seed in range(6):
         if seed == 0:
-            state = _state_at_bottom(norm, deltas=deltas)
+            state = _state_at_bottom(norm)
         else:
-            state = initial_state(norm, np.random.default_rng(seed), deltas=deltas)
+            state = initial_state(norm, [np.random.default_rng(seed)])
+        if deltas is not None:
+            state.deltas[:] = deltas
         state.rep[: seed % 3] = 3
         yield state
 
 
 def _solved_one_by_one(state, norm, seed):
-    """Thresholds after ``run_adaptation(state, norm, default_rng(seed))``,
+    """Thresholds after ``run_adaptation(state, norm, [default_rng(seed)])``,
     with every adapter solved on its own row."""
     adapt = np.flatnonzero(np.random.default_rng(seed).random(state.N) < norm.params.gamma)
     beliefs = None if state.belief_rows is None else state.belief_rows[adapt]
@@ -359,7 +314,7 @@ def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
     for seed, state in enumerate(_census_states(norm, deltas)):
         state.table = table  # one table across the states
         want = _solved_one_by_one(state, norm, 50 + seed)
-        run_adaptation(state, norm, np.random.default_rng(50 + seed))
+        run_adaptation(state, norm, [np.random.default_rng(50 + seed)])
         assert (state.thr == want).all()
         played.append(state.thr)
     assert {key_norm for key_norm, _, _ in table} == {norm}
@@ -372,7 +327,7 @@ def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
     monkeypatch.setattr(sim, "solve_policy_batch", no_solve)
     for seed, state in enumerate(_census_states(norm, deltas)):
         state.table = table
-        run_adaptation(state, norm, np.random.default_rng(50 + seed))
+        run_adaptation(state, norm, [np.random.default_rng(50 + seed)])
         assert (state.thr == played[seed]).all()
 
 
@@ -386,16 +341,16 @@ def test_adaptation_uses_the_table_only_where_it_fits(mode):
     )))
     norm = spec.norm
     rng = np.random.default_rng(3)
-    state = initial_state(norm, rng, adaptive=mode == "adaptive-belief")
+    state = initial_state(norm, [rng], adaptive=mode == "adaptive-belief")
     for period in range(1, 31):
         if mode == "varying-b":
             _redraw_benefits(state, spec, rng)
         if mode != "evolution":
             # an entry for the current census that is wrong for every user
-            state.table = {(norm, tuple(state.census(3).tolist()), 0.6): np.full(4, 4)}
+            state.table = {(norm, tuple(state.census(3)[0].tolist()), 0.6): np.full(4, 4)}
         written = set(state.table)
         want = _solved_one_by_one(state, norm, 100 + period)
-        run_adaptation(state, norm, np.random.default_rng(100 + period))
+        run_adaptation(state, norm, [np.random.default_rng(100 + period)])
         assert (state.thr == want).all()
         assert set(state.table) == written or mode == "evolution"
         run_period(state, norm, rng, period)
@@ -418,10 +373,10 @@ def test_adaptation_table_agrees_with_chain_policies(epsilon):
     table = {}
     for i, row in enumerate(space.counts.tolist()):
         mu = tuple(row)
-        state = initial_state(norm, np.random.default_rng(0))
+        state = initial_state(norm, [np.random.default_rng(0)])
         state.rep = np.repeat(np.arange(4), mu)
         state.table = table
-        run_adaptation(state, norm, np.random.default_rng(1))
+        run_adaptation(state, norm, [np.random.default_rng(1)])
         occupied = np.flatnonzero(mu)
         assert (table[(norm, mu, 0.6)][occupied] == policies[i, occupied]).all()
         assert (state.thr == policies[i, state.rep]).all()
@@ -452,7 +407,7 @@ def test_bridge_occupancy_rejects_bad_arguments(periods, stride, N, L, monkeypat
 def test_engine_belief_rows_match_updated_row():
     norm = make_norm(N=8, epsilon=0.1, h=2)
     rng = np.random.default_rng(10)
-    state = initial_state(norm, rng, adaptive=True)
+    state = initial_state(norm, [rng], adaptive=True)
     # replay one period by hand with the same draws
     rep_before = state.rep.copy()
     rows_before = state.belief_rows.copy()
@@ -479,7 +434,7 @@ def test_engine_period_matches_scalar_rule(h):
     N, L = 40, 3
     norm = make_norm(N=N, L=L, epsilon=0.3, h=h)
     rng = np.random.default_rng(20 + h)
-    state = initial_state(norm, rng)
+    state = initial_state(norm, [rng])
     assert (state.thr == norm.compliant[state.rep]).all()
     state.thr = rng.integers(0, L + 2, size=N)
     rep_before = state.rep.copy()
@@ -506,7 +461,7 @@ def test_varying_benefit_draws_stay_above_cost():
     )
     norm = make_norm(N=50)
     rng = np.random.default_rng(12)
-    state = initial_state(norm, rng)
+    state = initial_state(norm, [rng])
     for _ in range(20):
         _redraw_benefits(state, spec, rng)
         assert (state.bs > 1.0).all()
@@ -571,9 +526,99 @@ def test_adaptive_belief_mode_keeps_rows_stochastic():
     )
     norm = spec.norm
     rng = np.random.default_rng(spec.seed)
-    state = initial_state(norm, rng, adaptive=True)
+    state = initial_state(norm, [rng], adaptive=True)
     for period in range(1, 301):
-        run_adaptation(state, norm, rng)
+        run_adaptation(state, norm, [rng])
         run_period(state, norm, rng, period)
     assert np.abs(state.belief_rows.sum(axis=2) - 1.0).max() < 1e-9
     assert (state.belief_counts.sum(axis=1) == 300).all()
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test when anything draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with {name} before the size check")
+
+
+def test_state_over_the_budget_is_refused_before_anything_is_allocated(monkeypatch):
+    # two replicates of four entries per user, one user over the budget
+    norm = make_norm(N=sim.MAX_STATE_ENTRIES // 8 + 1)
+    with pytest.raises(ConfigError, match=f"over the limit {sim.MAX_STATE_ENTRIES}"):
+        initial_state(norm, [_NoDraws(), _NoDraws()])
+    # at the limit the state is built, and belief rows count: 4 + 4 * 6 per user
+    monkeypatch.setattr(sim, "MAX_STATE_ENTRIES", 2 * 10 * 28)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    assert initial_state(make_norm(N=10), rngs, adaptive=True).rep.size == 20
+    with pytest.raises(ConfigError, match="over the limit 560"):
+        initial_state(make_norm(N=11), [_NoDraws(), _NoDraws()], adaptive=True)
+
+
+def test_run_period_plays_one_replicate_in_place():
+    norm = make_norm(N=6, epsilon=0.2)
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    state = initial_state(norm, rngs)
+    with pytest.raises(ValueError, match="one replicate"):
+        run_period(state, norm, rngs[0])
+    one = state.replicate(1)
+    m = run_period(one, norm, rngs[1])
+    assert np.shares_memory(one.rep, state.rep)
+    assert m.census == tuple(state.census(3)[1].tolist())
+
+
+def _at_delta(spec, d):
+    return replace(spec, norm=replace(spec.norm, params=replace(spec.norm.params, delta=d)))
+
+
+@st.composite
+def _sweep_specs(draw):
+    L = draw(st.integers(min_value=1, max_value=3))
+    return ExperimentSpec.from_dict({
+        "mode": "delta-sweep", "N": draw(st.integers(min_value=2, max_value=12)),
+        "L": L, "b": draw(st.floats(min_value=1.5, max_value=5.0)), "c": 1.0,
+        "h": draw(st.integers(min_value=1, max_value=L)),
+        "epsilon": draw(st.sampled_from([0.0, 0.05, 0.3])),
+        "gamma": draw(st.sampled_from([0.2, 0.7, 1.0])),
+        "periods": draw(st.integers(min_value=1, max_value=40)),
+        "sample_stride": draw(st.integers(min_value=1, max_value=15)),
+        "seed": draw(st.integers(min_value=0, max_value=2**32)),
+        "delta_grid": draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+                                    min_size=1, max_size=4, unique=True)),
+    })
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_specs())
+def test_sweep_points_match_single_runs(spec):
+    # the lockstep sweep writes, point by point, what one run_evolution of
+    # the spec at that delta returns, byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        top = run_experiment(spec, out)
+        for d, point in zip(spec.delta_grid, top["sweep"]):
+            samples, summary = run_evolution(_at_delta(spec, d))
+            assert point == dict(summary, delta=d)
+            sim._write_timeseries(out / "single.csv", samples)
+            name = sim._timeseries_name(d)
+            assert (out / name).read_bytes() == (out / "single.csv").read_bytes()
+
+
+def test_sweep_solves_every_points_misses_in_one_call_per_period(monkeypatch):
+    doc = base_doc(mode="delta-sweep", N=40, periods=200, delta_grid=[0.3, 0.5, 0.7, 0.9])
+    del doc["delta"]
+    spec = ExperimentSpec.from_dict(doc)
+    rows = []
+
+    def counted(norm, etas, deltas, **kwargs):
+        rows.append(len(etas))
+        return solve_policy_batch(norm, etas, deltas, **kwargs)
+
+    monkeypatch.setattr(sim, "solve_policy_batch", counted)
+    run_experiment(spec)
+    swept = list(rows)
+    rows.clear()
+    for d in spec.delta_grid:
+        run_evolution(_at_delta(spec, d))
+    assert len(swept) <= spec.periods
+    assert len(swept) < len(rows)
+    assert sum(swept) == sum(rows)
