@@ -41,14 +41,20 @@ from .sim import ExperimentSpec, bridge_occupancy, run_experiment
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse start:stop:step into an inclusive grid."""
+    """Parse start:stop:step into an inclusive grid.  A grid of more points
+    than ``design.MAX_GRID_CELLS`` is refused before it is built."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"grid must look like start:stop:step, got {text!r}") from exc
     if not all(map(np.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ConfigError(f"bad grid bounds in {text!r}")
-    return [float(v) for v in np.arange(start, stop + step / 2, step)]
+    stop += step / 2
+    points = (stop - start) / step  # np.arange's length, before rounding up
+    if points > design_mod.MAX_GRID_CELLS:
+        raise ConfigError(
+            f"grid {text!r} has more points than the limit {design_mod.MAX_GRID_CELLS}")
+    return [float(v) for v in np.arange(start, stop, step)]
 
 
 def _parse_ladder(text: str) -> list[float]:

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from .norms import CommunityParams, ConfigError, SocialNorm
 
 H_TOL = 1e-9  # solve_H's bisection width
+# feasible_region_grid, and ``normsim design`` before it builds a grid,
+# refuse more (delta, c/b) cells
+MAX_GRID_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,16 @@ def feasible_region_grid(
     """Tabulate H and the largest feasible threshold over a parameter grid.
 
     Returns rows (delta, c_over_b, H, max_feasible_h); H and max_feasible_h
-    are None where no threshold can enforce full cooperation.  An empty grid
-    or a point outside 0 <= delta < 1, 0 < c/b < 1 raises ``ConfigError``.
+    are None where no threshold can enforce full cooperation.  The surplus
+    falls as h grows, so the feasible thresholds are 1..max_feasible_h, and
+    the largest lies at most one above H (within the bisection width of the
+    root): it is found from H in a step or two, whatever L is.  An empty
+    grid, one of more than ``MAX_GRID_CELLS`` cells, or a point outside
+    0 <= delta < 1, 0 < c/b < 1 raises ``ConfigError``.
     """
+    size = len(delta_grid) * len(cb_grid)
+    if size > MAX_GRID_CELLS:
+        raise ConfigError(f"{size} grid cells, over the limit {MAX_GRID_CELLS}")
     cells = [(float(d), float(cb)) for d in delta_grid for cb in cb_grid]
     if not cells:
         raise ConfigError("grids must be nonempty")
@@ -121,8 +131,11 @@ def feasible_region_grid(
     rows = []
     for delta, cb in cells:
         params = CommunityParams(N=2, L=L, b=1.0, c=cb, delta=delta)
-        feasible = [h for h in range(1, L + 1) if feasibility_test(params, h)]
-        rows.append((delta, cb, solve_H(params), max(feasible) if feasible else None))
+        H = solve_H(params)
+        top = 0 if H is None else min(L, math.floor(H) + 1)
+        while top >= 1 and not feasibility_test(params, top):
+            top -= 1
+        rows.append((delta, cb, H, top or None))
     return rows
 
 

@@ -12,7 +12,8 @@ drawing from its own generator: every period it adapts all of them at once,
 so the strategy-table misses of every replicate go to one solver call, then
 plays each replicate's period.  ``run_evolution`` plays the spec's own delta
 and seed (R = 1), a delta sweep plays its grid points as R replicates, and
-``bridge_occupancy`` tallies an R = 1 trajectory.
+``bridge_occupancy`` tallies an R = 1 trajectory.  Patience is set once per
+run, as an (R, G) table of each replicate's G discount groups' deltas.
 """
 
 from __future__ import annotations
@@ -153,7 +154,9 @@ class ExperimentSpec:
 class SimState:
     """Mutable state of R replicate communities of N users each, played in
     lockstep: each per-user array holds R·N entries, replicate r's users at
-    r·N to (r+1)·N - 1.  ``table`` maps (norm, census, delta) to the
+    r·N to (r+1)·N - 1.  A user of replicate r discounts at ``deltas[r,
+    group]``; the (R, G) table is R x 1 in a sweep or a single run and
+    1 x G in a mixed run.  ``table`` maps (norm, census, delta) to the
     thresholds solved for each occupied reputation under the baseline belief
     and the norm's benefit (see ``run_adaptation``).  An entry is a pure
     function of its key, so the replicates, and states, may share one table
@@ -161,12 +164,16 @@ class SimState:
 
     rep: np.ndarray  # current reputations
     thr: np.ndarray  # current service thresholds
-    deltas: np.ndarray  # personal discount factors
+    group: np.ndarray  # discount group within the user's replicate
+    deltas: np.ndarray  # (R, G) discount factor of each replicate's groups
     bs: np.ndarray  # personal per-period benefit values
     belief_rows: np.ndarray | None = None  # (R·N, L+1, L+2) when adaptive
     belief_counts: np.ndarray | None = None  # (R·N, L+1) transaction counters
     table: dict = field(default_factory=dict)
-    replicates: int = 1
+
+    @property
+    def replicates(self) -> int:
+        return self.deltas.shape[0]
 
     @property
     def N(self) -> int:
@@ -186,8 +193,8 @@ class SimState:
         this state's, and its table is this state's."""
         part = slice(r * self.N, (r + 1) * self.N)
         rows = [None if a is None else a[part] for a in (self.belief_rows, self.belief_counts)]
-        return SimState(self.rep[part], self.thr[part], self.deltas[part], self.bs[part],
-                        *rows, table=self.table)
+        return SimState(self.rep[part], self.thr[part], self.group[part],
+                        self.deltas[r:r + 1], self.bs[part], *rows, table=self.table)
 
 
 @dataclass(frozen=True)
@@ -201,10 +208,10 @@ class PeriodMetrics:
 def initial_state(norm: SocialNorm, rngs, *, adaptive: bool = False) -> SimState:
     """Fresh state of one replicate per generator in ``rngs``: each one's
     reputations drawn uniformly from 0..L (the first draw from its
-    generator), every user at the norm's delta and benefit and playing the
-    social rule's threshold, optional per-user belief matrices.  A state of
-    more than ``MAX_STATE_ENTRIES`` entries raises ConfigError before
-    anything is allocated."""
+    generator), every user in one discount group at the norm's delta, at
+    the norm's benefit and playing the social rule's threshold, optional
+    per-user belief matrices.  A state of more than ``MAX_STATE_ENTRIES``
+    entries raises ConfigError before anything is allocated."""
     p = norm.params
     R = len(rngs)
     entries = R * p.N * (4 + ((p.L + 1) * (p.L + 3) if adaptive else 0))
@@ -222,11 +229,11 @@ def initial_state(norm: SocialNorm, rngs, *, adaptive: bool = False) -> SimState
     return SimState(
         rep=rep,
         thr=norm.compliant[rep],
-        deltas=np.full(rep.size, p.delta),
+        group=np.zeros(rep.size, dtype=np.intp),
+        deltas=np.full((R, 1), p.delta),
         bs=np.full(rep.size, p.b),
         belief_rows=belief_rows,
         belief_counts=belief_counts,
-        replicates=R,
     )
 
 
@@ -316,16 +323,16 @@ def run_adaptation(state: SimState, norm: SocialNorm, rngs) -> None:
 
     The best response is solved against the posted census of the user's
     replicate (the L+1 counts of its users' current reputations in
-    ``state.rep``) with the user itself removed, at the user's personal
-    discount factor and benefit, and with its own belief matrix when it
+    ``state.rep``) with the user itself removed, at its discount group's
+    delta and its personal benefit, and with its own belief matrix when it
     maintains one.  The user's new threshold is the policy entry at its
     current reputation.
 
     While no user keeps a belief matrix and every benefit is the norm's, a
     user's answer depends only on the norm, its replicate's census and its
-    delta, so it is read from ``state.table``.  The entries that the
-    period's adapters miss, over every replicate, are solved in one batch,
-    one row per occupied reputation of each missing census.
+    group's delta, so each group reads it from ``state.table``.  The entries
+    that the period's adapters miss, over every replicate, are solved in one
+    batch, one row per occupied reputation of each missing census.
     Otherwise every adapter is solved on its own row, again in one batch,
     and the table is left alone.
     """
@@ -334,28 +341,19 @@ def run_adaptation(state: SimState, norm: SocialNorm, rngs) -> None:
     adapt = np.flatnonzero(coins < norm.params.gamma)
     if adapt.size == 0:
         return
-    mu = state.census(L)
-    reps, deltas = state.rep[adapt], state.deltas[adapt]
+    mu, G = state.census(L), state.deltas.shape[1]
+    member = adapt // N * G + state.group[adapt]  # each adapter's group, r·G + group
+    deltas, reps = state.deltas.ravel(), state.rep[adapt]
     if state.belief_rows is not None or (state.bs != norm.params.b).any():
         beliefs = None if state.belief_rows is None else state.belief_rows[adapt]
-        state.thr[adapt] = _best_thresholds(
-            norm, mu[adapt // N], reps, deltas, bs=state.bs[adapt], belief_rows=beliefs
-        )
+        state.thr[adapt] = _best_thresholds(norm, mu[adapt // N], reps, deltas[member],
+                                            bs=state.bs[adapt], belief_rows=beliefs)
         return
-    # one table entry per (replicate, delta) pair g = r·V + (delta's rank);
-    # a lone pair, the usual single run, needs no grouping
-    values = np.unique(deltas)
-    V = values.size
-    if state.replicates * V == 1:
-        member, pairs = 0, [0]
-    else:
-        member = adapt // N * V + values.searchsorted(deltas)
-        pairs = np.flatnonzero(np.bincount(member)).tolist()
     censuses = [tuple(row) for row in mu.tolist()]
-    rows = np.zeros((state.replicates * V, L + 1), dtype=state.thr.dtype)
-    missing = {}  # missing key -> the pairs that read it
-    for g in pairs:
-        key = (norm, censuses[g // V], values[g % V])
+    rows = np.zeros((deltas.size, L + 1), dtype=state.thr.dtype)
+    missing = {}  # missing key -> the groups that read it
+    for g in np.flatnonzero(np.bincount(member)).tolist():
+        key = (norm, censuses[g // G], deltas[g])
         entry = state.table.get(key)
         if entry is None:
             missing.setdefault(key, []).append(g)
@@ -363,7 +361,7 @@ def run_adaptation(state: SimState, norm: SocialNorm, rngs) -> None:
             rows[g] = entry
     if missing:
         solved = _solve_entries(
-            norm, mu[[readers[0] // V for readers in missing.values()]],
+            norm, mu[[readers[0] // G for readers in missing.values()]],
             [delta for _, _, delta in missing],
         )
         for (key, readers), entry in zip(missing.items(), solved):
@@ -415,20 +413,20 @@ def _play(spec: ExperimentSpec, grid=(None,)) -> list[tuple[SimState, list[Perio
     return each one's final state and sampled metrics.
 
     Every replicate starts from its own generator seeded with the spec's
-    seed.  Replicate r plays at the personal discount factor ``grid[r]``,
-    or, where that is None, at the spec's own: its groups' or its norm's.
+    seed.  Replicate r plays at the discount factor ``grid[r]``; the grid
+    (None,) plays one replicate at the spec's groups' deltas or its norm's.
     The norm is the spec's throughout, so in a delta sweep the table keys
     hold the grid delta beside the norm's placeholder one.
     """
     rngs = [np.random.default_rng(spec.seed) for _ in grid]
     state = initial_state(spec.norm, rngs, adaptive=spec.mode == "adaptive-belief")
+    if spec.groups is not None:
+        sizes, group_deltas = zip(*spec.groups)
+        state.group[:] = np.repeat(np.arange(len(sizes)), sizes)
+        state.deltas = np.array([group_deltas])
+    elif grid != (None,):
+        state.deltas = np.array(grid, dtype=float)[:, None]
     replicas = [state.replicate(r) for r in range(len(grid))]
-    for one, delta in zip(replicas, grid):
-        if delta is not None:
-            one.deltas[:] = delta
-        elif spec.groups is not None:
-            sizes, group_deltas = zip(*spec.groups)
-            one.deltas[:] = np.repeat(group_deltas, sizes)
     samples = [[] for _ in grid]
     for metrics in _trajectory(state, spec.norm, rngs, spec.periods, spec):
         period = metrics[0].period
@@ -477,9 +475,8 @@ def _summarize(spec, state, samples) -> dict:
         "defection_fraction": float((state.thr == L + 1).mean()),
     }
     if spec.groups is not None:
-        bounds = np.cumsum([0] + [size for size, _ in spec.groups])
         summary["group_defection_fractions"] = [
-            float((state.thr[bounds[g]:bounds[g + 1]] == L + 1).mean())
+            float((state.thr[state.group == g] == L + 1).mean())
             for g in range(len(spec.groups))
         ]
     return summary

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from documents import config_documents, spec_documents
-from normsim import bestresponse, sim
+from normsim import bestresponse, design, sim
 from normsim.cli import _parse_counts, _parse_grid, main
 from normsim.norms import MAX_TABLE_ENTRIES, ConfigError
 
@@ -315,6 +316,25 @@ def test_design_rejects_bad_grid(capsys):
     # error, as the same delta in a config file is
     assert main(["design", "--delta-grid", "1.5:1.5:0.1", "--cb-grid", "0.3:0.3:0.1"]) == 2
     assert main(["design", "--delta-grid", "0.5:0.5:0.1", "--cb-grid", "1:1:0.1"]) == 2
+
+
+def test_design_refuses_a_grid_over_the_cell_budget_before_building(capsys):
+    # 0:limit:1 holds limit + 1 points; np.arange would build them all
+    limit = design.MAX_GRID_CELLS
+    tracemalloc.start()
+    try:
+        code = main(["design", "--delta-grid", f"0:{limit}:1", "--cb-grid", "0.5:0.5:0.1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"limit {limit}" in err
+    # two grids under the budget whose 101 x 9901 cells are one over it
+    cells = ["--delta-grid", "0.1:0.2:0.001", "--cb-grid", "0.00001:0.09901:0.00001"]
+    assert len(_parse_grid(cells[1])) * len(_parse_grid(cells[3])) == limit + 1
+    assert main(["design", *cells]) == 2
+    assert f"over the limit {limit}" in capsys.readouterr().err
 
 
 def test_bestresponse_outputs_policy(norm_file, capsys):

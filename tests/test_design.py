@@ -1,9 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normsim import design
 from normsim import (
     CommunityParams,
     SocialNorm,
@@ -14,6 +18,7 @@ from normsim import (
     write_region_csv,
 )
 from normsim.design import _gap
+from normsim.norms import ConfigError
 
 
 def make_params(N=11, L=3, b=3.0, c=1.0, delta=0.6):
@@ -146,6 +151,69 @@ def test_region_grid_rejects_bad_inputs():
         feasible_region_grid([1.2], [0.5], L=3)
     with pytest.raises(ValueError):
         feasible_region_grid([0.5], [0.0], L=3)
+
+
+def _scanned_top(delta, cb, L):
+    """The largest feasible threshold by testing every h in 1..L."""
+    params = CommunityParams(N=2, L=L, b=1.0, c=cb, delta=delta)
+    feasible = [h for h in range(1, L + 1) if feasibility_test(params, h)]
+    return max(feasible) if feasible else None
+
+
+def test_region_grid_top_threshold_matches_a_full_scan_on_criterion_09_grid():
+    grid = np.linspace(0.05, 0.95, 20)
+    for L in range(1, 31):
+        rows = feasible_region_grid(grid, grid, L=L)
+        assert [top for *_, top in rows] == [_scanned_top(d, cb, L) for d, cb, *_ in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    cb=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    L=st.integers(min_value=1, max_value=30),
+)
+def test_region_grid_top_threshold_matches_a_full_scan(delta, cb, L):
+    ((_, _, _, top),) = feasible_region_grid([delta], [cb], L=L)
+    assert top == _scanned_top(delta, cb, L)
+
+
+def test_region_grid_tests_a_few_thresholds_whatever_L(monkeypatch):
+    calls = []
+
+    def counted(params, h):
+        calls.append(h)
+        return feasibility_test(params, h)
+
+    monkeypatch.setattr(design, "feasibility_test", counted)
+    grid = np.linspace(0.05, 0.95, 20)
+    for d in grid:
+        for cb in grid:
+            calls.clear()
+            feasible_region_grid([d], [cb], L=10**9)
+            assert len(calls) <= 3
+    ((delta, cb, H, top),) = feasible_region_grid([0.9], [0.3], L=10**9)
+    assert (delta, cb, top) == (0.9, 0.3, 4) and H == pytest.approx(4.1058, abs=1e-4)
+    assert feasible_region_grid([0.9], [0.3], L=4) == [(delta, cb, H, top)]
+
+
+def test_region_grid_refuses_more_cells_than_the_budget(monkeypatch):
+    # 101 x 9901 = MAX_GRID_CELLS + 1 cells, refused before any is tabulated
+    deltas, cbs = list(np.linspace(0.1, 0.9, 101)), list(np.linspace(0.1, 0.9, 9901))
+    assert len(deltas) * len(cbs) == design.MAX_GRID_CELLS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"over the limit {design.MAX_GRID_CELLS}"):
+            feasible_region_grid(deltas, cbs, L=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # at the limit the grid is tabulated
+    monkeypatch.setattr(design, "MAX_GRID_CELLS", 6)
+    assert len(feasible_region_grid([0.5, 0.6, 0.7], [0.2, 0.3], L=3)) == 6
+    with pytest.raises(ConfigError, match="over the limit 6"):
+        feasible_region_grid([0.5, 0.6, 0.7], [0.2, 0.3, 0.4], L=3)
 
 
 def test_region_csv_roundtrip(tmp_path):

@@ -280,55 +280,73 @@ def test_table_keeps_each_norms_answers_apart():
     assert {key[0] for key in state.table} == {low, high}
 
 
-def _census_states(norm, deltas):
-    """States at several censuses: all at the bottom, uniform, skewed up."""
+def _rngs(seed, R=1):
+    """One generator per replicate; replicate 0 draws from ``default_rng(seed)``."""
+    return [np.random.default_rng(seed + 1000 * r) for r in range(R)]
+
+
+def _census_states(norm, groups, R=1):
+    """States of R replicates at several censuses: all at the bottom,
+    uniform, skewed up.  ``groups`` gives each user's discount group and
+    the groups' deltas, the same in every replicate; None leaves every user
+    at the norm's delta."""
     for seed in range(6):
+        state = initial_state(norm, _rngs(seed, R))
         if seed == 0:
-            state = _state_at_bottom(norm)
-        else:
-            state = initial_state(norm, [np.random.default_rng(seed)])
-        if deltas is not None:
-            state.deltas[:] = deltas
+            state.rep[:] = 0
+            state.thr[:] = norm.compliant[0]
+        if groups is not None:
+            group, deltas = groups
+            state.group[:] = np.tile(group, R)
+            state.deltas = np.tile(deltas, (R, 1))
         state.rep[: seed % 3] = 3
         yield state
 
 
 def _solved_one_by_one(state, norm, seed):
-    """Thresholds after ``run_adaptation(state, norm, [default_rng(seed)])``,
+    """Thresholds after ``run_adaptation(state, norm, _rngs(seed, R))``,
     with every adapter solved on its own row."""
-    adapt = np.flatnonzero(np.random.default_rng(seed).random(state.N) < norm.params.gamma)
+    coins = np.concatenate([rng.random(state.N) for rng in _rngs(seed, state.replicates)])
+    adapt = np.flatnonzero(coins < norm.params.gamma)
     beliefs = None if state.belief_rows is None else state.belief_rows[adapt]
+    replicate = adapt // state.N
     thr = state.thr.copy()
     thr[adapt] = _best_thresholds(
-        norm, state.census(norm.params.L), state.rep[adapt], state.deltas[adapt],
-        bs=state.bs[adapt], belief_rows=beliefs,
+        norm, state.census(norm.params.L)[replicate], state.rep[adapt],
+        state.deltas[replicate, state.group[adapt]], bs=state.bs[adapt], belief_rows=beliefs,
     )
     return thr
 
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
+    # one replicate and two; mixed: three groups, and four with two at one delta
     norm = make_norm(N=15, gamma=0.7, epsilon=0.05)
-    deltas = np.repeat([0.3, 0.6, 0.9], 5) if mixed else None
-    table, played = {}, []
-    for seed, state in enumerate(_census_states(norm, deltas)):
-        state.table = table  # one table across the states
-        want = _solved_one_by_one(state, norm, 50 + seed)
-        run_adaptation(state, norm, [np.random.default_rng(50 + seed)])
-        assert (state.thr == want).all()
-        played.append(state.thr)
-    assert {key_norm for key_norm, _, _ in table} == {norm}
-    assert {delta for _, _, delta in table} == ({0.3, 0.6, 0.9} if mixed else {0.6})
+    layouts = [(groups, R) for R in (1, 2) for groups in (
+        [(np.repeat([0, 1, 2], 5), [0.3, 0.6, 0.9]),
+         (np.repeat([0, 1, 2, 3], [5, 3, 5, 2]), [0.3, 0.6, 0.9, 0.6])] if mixed else [None]
+    )]
+    for groups, R in layouts:
+        table, played = {}, []
+        for seed, state in enumerate(_census_states(norm, groups, R)):
+            state.table = table  # one table across the states
+            want = _solved_one_by_one(state, norm, 50 + seed)
+            run_adaptation(state, norm, _rngs(50 + seed, R))
+            assert (state.thr == want).all()
+            played.append(state.thr)
+        assert {key_norm for key_norm, _, _ in table} == {norm}
+        assert {delta for _, _, delta in table} == ({0.3, 0.6, 0.9} if mixed else {0.6})
 
-    # a warmed table answers from its entries alone, with the same thresholds
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a warmed table called the solver")
+        # a warmed table answers from its entries alone, with the same thresholds
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a warmed table called the solver")
 
-    monkeypatch.setattr(sim, "solve_policy_batch", no_solve)
-    for seed, state in enumerate(_census_states(norm, deltas)):
-        state.table = table
-        run_adaptation(state, norm, [np.random.default_rng(50 + seed)])
-        assert (state.thr == played[seed]).all()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "solve_policy_batch", no_solve)
+            for seed, state in enumerate(_census_states(norm, groups, R)):
+                state.table = table
+                run_adaptation(state, norm, _rngs(50 + seed, R))
+                assert (state.thr == played[seed]).all()
 
 
 @pytest.mark.parametrize("mode", ["adaptive-belief", "varying-b", "evolution"])
@@ -518,6 +536,20 @@ def test_mixed_mode_reports_group_defection():
     assert all(0.0 <= f <= 1.0 for f in fracs)
     # the impatient group defects at least as much as the patient one
     assert fracs[0] >= fracs[1]
+
+
+def test_mixed_groups_at_one_delta_play_the_evolution_run(tmp_path):
+    # two discount groups at one delta read one table key, so the mixed run
+    # writes the evolution run's time series at that delta, byte for byte; the
+    # mixed spec's norm keeps another delta, which no group plays at
+    evolution = ExperimentSpec.from_dict(base_doc(N=30, delta=0.5, periods=300))
+    mixed = ExperimentSpec.from_dict(base_doc(
+        mode="mixed", N=30, periods=300, groups=[{"size": 15, "delta": 0.5}] * 2
+    ))
+    summaries = [run_experiment(spec, tmp_path / spec.mode) for spec in (evolution, mixed)]
+    series = [(tmp_path / mode / "timeseries.csv").read_bytes() for mode in ("evolution", "mixed")]
+    assert series[0] == series[1]
+    assert summaries[0]["defection_fraction"] == summaries[1]["defection_fraction"]
 
 
 def test_adaptive_belief_mode_keeps_rows_stochastic():
