@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from .norms import CommunityParams, ConfigError, SocialNorm
 
 H_TOL = 1e-9  # solve_H's bisection width
-# feasible_region_grid, and ``normsim design`` before it builds a grid,
-# refuse more (delta, c/b) cells
-MAX_GRID_CELLS = 10**6
+MAX_GRID_CELLS = 10**6  # feasible_region_grid refuses more (delta, c/b) cells
 
 
 @dataclass(frozen=True)
@@ -112,10 +110,9 @@ def feasible_region_grid(
     Returns rows (delta, c_over_b, H, max_feasible_h); H and max_feasible_h
     are None where no threshold can enforce full cooperation.  The surplus
     falls as h grows, so the feasible thresholds are 1..max_feasible_h, and
-    the largest lies at most one above H (within the bisection width of the
-    root): it is found from H in a step or two, whatever L is.  An empty
-    grid, one of more than ``MAX_GRID_CELLS`` cells, or a point outside
-    0 <= delta < 1, 0 < c/b < 1 raises ``ConfigError``.
+    that lies at most one above H (a bisection width off the root), whatever
+    L is.  An empty grid, one of more than ``MAX_GRID_CELLS`` cells, or a
+    point outside 0 <= delta < 1, 0 < c/b < 1 raises ``ConfigError``.
     """
     size = len(delta_grid) * len(cb_grid)
     if size > MAX_GRID_CELLS:

@@ -326,6 +326,10 @@ def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
         [(np.repeat([0, 1, 2], 5), [0.3, 0.6, 0.9]),
          (np.repeat([0, 1, 2, 3], [5, 3, 5, 2]), [0.3, 0.6, 0.9, 0.6])] if mixed else [None]
     )]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a warmed table called the solver")
+
     for groups, R in layouts:
         table, played = {}, []
         for seed, state in enumerate(_census_states(norm, groups, R)):
@@ -338,9 +342,6 @@ def test_adaptation_table_matches_per_adapter_solves(mixed, monkeypatch):
         assert {delta for _, _, delta in table} == ({0.3, 0.6, 0.9} if mixed else {0.6})
 
         # a warmed table answers from its entries alone, with the same thresholds
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a warmed table called the solver")
-
         with monkeypatch.context() as patch:
             patch.setattr(sim, "solve_policy_batch", no_solve)
             for seed, state in enumerate(_census_states(norm, groups, R)):
